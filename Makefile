@@ -11,12 +11,7 @@
 # 1000-view sharded allocation gate (scripts/bench_scale.sh against
 # scripts/bench_scale_baseline.txt) plus the cmd/benchscale sweep,
 # which writes BENCH_scale.json and fails unless the sharded planner
-# beats the legacy one by 2x at 5k+ views; `make exec-bench` gates plan
-# execution (scripts/bench_exec.sh): cmd/benchexec diffs wall/allocs/
-# peak resident rows against the checked-in BENCH_exec.json and fails
-# unless streaming keeps ≥5× fewer resident rows and the symmetric hash
-# join allocates ≥2× less than the materialized replay; `make trace`
-# exports a
+# beats the legacy one by 2x at 5k+ views; `make trace` exports a
 # sample Perfetto trace of a Fig. 6a run and validates the trace-event
 # JSON with tracecheck.
 
@@ -27,7 +22,7 @@ GO ?= go
 # lint` never runs a stale binary against a new rule set.
 LINT_SRC := $(shell find cmd/viewplanlint internal/lint -name '*.go' -not -path '*/testdata/*')
 
-.PHONY: build test check lint bench benchall serve-bench scale-bench exec-bench vet trace
+.PHONY: build test check lint bench benchall serve-bench scale-bench vet trace
 
 build:
 	$(GO) build ./...
@@ -60,9 +55,6 @@ serve-bench:
 scale-bench:
 	./scripts/bench_scale.sh
 	$(GO) run ./cmd/benchscale
-
-exec-bench:
-	./scripts/bench_exec.sh
 
 # A small Fig. 6a sweep with span capture on: writes bin/trace_fig6a.json
 # and verifies it is well-formed trace-event JSON (then open the file at

@@ -52,7 +52,7 @@ func main() {
 		jobs    = flag.Int("jobs", 1, "queries run concurrently per point (1 = sequential); speeds the sweep up without touching per-query times")
 		metrics = flag.String("metrics", "", "write per-run planner metrics (counters, phase times) as JSON to this file")
 		costFl  = flag.String("cost", "", "additionally time M2 or M3 planning per query over materialized views (engine counters then appear in -metrics)")
-		execFl  = flag.String("exec", "", "also execute each chosen plan (needs -cost): materialized, stream, or symmetric; peak_resident_rows and streamed_rows_per_join then appear in -metrics and -registry")
+		execFl  = flag.Bool("exec", false, "also execute each chosen plan (needs -cost); peak_resident_rows and streamed_rows_per_join then appear in -metrics and -registry")
 		capFl   = flag.Int("cap", 0, "cap the rewritings considered per query (0 = all; keeps -cost sweeps bounded)")
 		rows    = flag.Int("rows", 0, "synthetic rows per base relation for -cost runs (default 100)")
 		domain  = flag.Int("domain", 0, "distinct values per column domain for -cost runs (default 100)")
@@ -93,7 +93,7 @@ func main() {
 	}
 }
 
-func run(fig string, queries int, viewsFl string, seed int64, nogroup bool, subgoals, parallel, jobs int, metricsFile, costFl, execFl string, rows, domain, cap int, registryAddr, traceOut string) error {
+func run(fig string, queries int, viewsFl string, seed int64, nogroup bool, subgoals, parallel, jobs int, metricsFile, costFl string, exec bool, rows, domain, cap int, registryAddr, traceOut string) error {
 	var costModel cost.Model
 	switch strings.ToLower(costFl) {
 	case "":
@@ -104,13 +104,7 @@ func run(fig string, queries int, viewsFl string, seed int64, nogroup bool, subg
 	default:
 		return fmt.Errorf("bad -cost %q: want m2 or m3", costFl)
 	}
-	execMode := strings.ToLower(execFl)
-	switch execMode {
-	case "", "materialized", "stream", "symmetric":
-	default:
-		return fmt.Errorf("bad -exec %q: want materialized, stream, or symmetric", execFl)
-	}
-	if execMode != "" && costModel == 0 {
+	if exec && costModel == 0 {
 		return fmt.Errorf("-exec needs -cost (there is no chosen plan to execute without a cost model)")
 	}
 	var figures []experiments.Figure
@@ -178,7 +172,7 @@ func run(fig string, queries int, viewsFl string, seed int64, nogroup bool, subg
 		cfg.Parallelism = jobs
 		cfg.Trace = metricsFile != ""
 		cfg.CostModel = costModel
-		cfg.Execute = execMode
+		cfg.Execute = exec
 		cfg.DataRows = rows
 		cfg.DataDomain = domain
 		if nogroup {

@@ -6,6 +6,7 @@ import (
 	"viewplan/internal/corecover"
 	"viewplan/internal/cost"
 	"viewplan/internal/engine"
+	"viewplan/internal/obs"
 	"viewplan/internal/workload"
 )
 
@@ -49,12 +50,54 @@ func tuplesIdentical(t *testing.T, label string, a, b *Relation) {
 	}
 }
 
+// replayMaterialized is the corpus harness's reference executor: the
+// plan's JoinStep chain exactly as the cost simulation ran it (same
+// order, same M3 per-step projections), then the comparison filter and
+// the head. internal/cost keeps the same replay, with residency
+// accounting, as the oracle of its own tests; a test of this package
+// cannot reach it.
+func replayMaterialized(db *Database, p *Plan) (*Relation, error) {
+	q := p.Rewriting
+	cur := engine.UnitVarRelation()
+	for k, idx := range p.Order {
+		var retain []Var
+		if p.Model == M3 {
+			retain = p.Steps[k].Retained
+		}
+		next, err := db.JoinStep(cur, q.Body[idx], retain)
+		if err != nil {
+			return nil, err
+		}
+		cur = next
+	}
+	if q.HasComparisons() {
+		filtered, err := engine.FilterComparisons(cur, q.Comparisons)
+		if err != nil {
+			return nil, err
+		}
+		cur = filtered
+	}
+	return db.ProjectHead(cur, q.Head, false)
+}
+
+// probeRowsOf runs f under a private tracer and returns the
+// join_probe_rows it ticked.
+func probeRowsOf(db *Database, f func()) int64 {
+	tr := NewTracer()
+	db.SetTracer(tr)
+	defer db.SetTracer(nil)
+	f()
+	return tr.Counter(obs.CtrJoinProbeRows)
+}
+
 // TestDifferentialStreamingExecution is the full-corpus gate of DESIGN
 // §16: for every instance in the 200-instance corpus, under every
 // planning configuration (sequential and parallel rewriting generation,
-// unsharded and sharded cover search), the streaming and symmetric
-// executions of the chosen M2 and M3 plans are byte-identical — same
-// insertion order, not just the same set — to the materialized replay.
+// unsharded and sharded cover search), ExecutePlan's answer for the
+// chosen M2 and M3 plans is byte-identical — same insertion order, not
+// just the same set — to the materialized replay, and probes no more
+// index rows than the replay does (the projection dedup of M3 plans:
+// without it the joins above a projection redo work per duplicate).
 func TestDifferentialStreamingExecution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential harness")
@@ -63,7 +106,6 @@ func TestDifferentialStreamingExecution(t *testing.T) {
 	executed := 0
 	for ci, inst := range corpus {
 		var db *Database
-		var plans []*Plan
 		for _, par := range []int{1, 8} {
 			for _, shards := range []int{0, 4} {
 				res, err := corecover.CoreCoverStar(inst.Query, inst.Views, corecover.Options{
@@ -84,38 +126,34 @@ func TestDifferentialStreamingExecution(t *testing.T) {
 					if err := db.MaterializeViews(inst.Views); err != nil {
 						t.Fatalf("instance %d: %v", ci, err)
 					}
-					for _, p := range res.Rewritings {
-						if len(p.Body) > 4 {
-							continue
-						}
-						m2, err := cost.BestPlanM2(db, p)
-						if err != nil {
-							t.Fatalf("instance %d: BestPlanM2: %v", ci, err)
-						}
-						m3, err := cost.BestPlanM3(db, p, RenamingHeuristic, inst.Query, inst.Views)
-						if err != nil {
-							t.Fatalf("instance %d: BestPlanM3: %v", ci, err)
-						}
-						plans = append(plans, m2, m3)
-					}
 				}
-				// The planner configuration must not leak into execution:
-				// the same plans execute identically regardless of how the
-				// rewriting search was parallelized or sharded.
-				for pi, plan := range plans {
-					want, _, err := ExecutePlan(db, plan, ExecOptions{})
-					if err != nil {
-						t.Fatalf("instance %d plan %d: materialized: %v", ci, pi, err)
+				for pi, p := range res.Rewritings {
+					if len(p.Body) > 4 {
+						continue
 					}
-					for _, opts := range []ExecOptions{
-						{StreamExec: true},
-						{StreamExec: true, SymmetricJoins: true},
-					} {
-						got, _, err := ExecutePlan(db, plan, opts)
+					m2, err := cost.BestPlanM2(db, p)
+					if err != nil {
+						t.Fatalf("instance %d: BestPlanM2: %v", ci, err)
+					}
+					m3, err := cost.BestPlanM3(db, p, RenamingHeuristic, inst.Query, inst.Views)
+					if err != nil {
+						t.Fatalf("instance %d: BestPlanM3: %v", ci, err)
+					}
+					for _, plan := range []*Plan{m2, m3} {
+						var want, got *Relation
+						wantProbes := probeRowsOf(db, func() { want, err = replayMaterialized(db, plan) })
 						if err != nil {
-							t.Fatalf("instance %d plan %d %+v: %v", ci, pi, opts, err)
+							t.Fatalf("instance %d rewriting %d %s: replay: %v", ci, pi, plan.Model, err)
+						}
+						gotProbes := probeRowsOf(db, func() { got, _, err = ExecutePlan(db, plan, ExecOptions{}) })
+						if err != nil {
+							t.Fatalf("instance %d rewriting %d %s: ExecutePlan: %v", ci, pi, plan.Model, err)
 						}
 						tuplesIdentical(t, inst.Query.String(), want, got)
+						if gotProbes > wantProbes {
+							t.Fatalf("instance %d rewriting %d %s: ExecutePlan probed %d index rows, the replay %d\n%v",
+								ci, pi, plan.Model, gotProbes, wantProbes, plan)
+						}
 						executed++
 					}
 				}
@@ -125,5 +163,5 @@ func TestDifferentialStreamingExecution(t *testing.T) {
 	if executed == 0 {
 		t.Fatal("differential corpus executed no plans")
 	}
-	t.Logf("differential harness: %d streaming executions byte-identical", executed)
+	t.Logf("differential harness: %d executions byte-identical to the replay", executed)
 }

@@ -1,78 +1,59 @@
-// Plan execution: running an optimizer-chosen physical plan to produce
-// its answer relation, either by replaying the materialized JoinStep
-// chain the cost simulation measured, or through the engine's streaming
-// iterator path (Options.StreamExec). Both produce byte-identical
-// relations — same interner ids, same insertion order — which the
-// full-corpus differential harness in exec_differential_test.go pins.
+// Plan execution: running an optimizer-chosen physical plan through the
+// engine's iterator pipeline to produce its answer relation. The result
+// is byte-identical — same interner ids, same insertion order — to
+// replaying the materialized JoinStep chain the cost simulation
+// measured; that replay is the oracle of exec_oracle_test.go and of the
+// full-corpus differential harness in the root package.
 package cost
 
 import (
 	"fmt"
-	"strings"
 
 	"viewplan/internal/cq"
 	"viewplan/internal/engine"
-	"viewplan/internal/obs"
 )
 
-// ExecOptions selects the execution strategy for ExecutePlan.
-type ExecOptions struct {
-	// StreamExec executes through the engine's lazy iterator path: no
-	// intermediate relation is materialized and the ordered drain at
-	// the root keeps the result byte-identical to the materialized
-	// replay. Off by default, so the materialized kernel and its
-	// allocation baselines are untouched.
-	StreamExec bool
-	// SymmetricJoins executes the first join of a streaming plan as a
-	// symmetric hash join (both sides build and probe incrementally).
-	// Only meaningful with StreamExec; it disables stream-prefix
-	// caching, whose buffers assume order-preserving pipelines.
-	SymmetricJoins bool
-}
+// ExecOptions is the (empty) option set of ExecutePlan: there is one
+// executor and nothing to select.
+type ExecOptions struct{}
 
 // ExecStats reports one plan execution's work.
 type ExecStats struct {
 	// Rows is the size of the answer relation.
 	Rows int
-	// RawRows is the number of rows the streaming path pulled at the
-	// root before set-semantics dedup (zero for materialized runs,
-	// whose dedup happens inside every join step).
+	// RawRows is the number of rows pulled at the pipeline root before
+	// the answer's set-semantics dedup.
 	RawRows int64
 	// PeakResidentRows is the peak number of execution-owned resident
-	// rows: for materialized runs the largest adjacent intermediate
-	// pair (IR_{i-1} feeds the join producing IR_i, so both are live),
-	// for streaming runs the operator-held rows plus the result.
+	// rows: the dedup sets of the plan's M3 projections plus the answer.
 	PeakResidentRows int64
 }
 
-// execPeakHist mirrors the engine's joinRowsHist pattern: materialized
-// executions observe their peak residency into the process registry
-// with a few atomic adds and no allocation. (Streaming drains observe
-// theirs inside engine.DrainStream.)
-var execPeakHist = obs.Process.Histogram(obs.HistPeakResident)
-
 // ExecutePlan runs a plan produced by PlanM2/BestPlanM2/PlanM3/
 // BestPlanM3 over the database that costed it and returns the answer
-// relation named after the rewriting's head. The result relation does
-// not bump the database generation, so executing one candidate does
-// not invalidate intermediates the IR cache holds for the next.
-func ExecutePlan(db *engine.Database, p *Plan, opts ExecOptions) (*engine.Relation, ExecStats, error) {
+// relation named after the rewriting's head: scans and probe joins in
+// the plan's order, the M3 per-step projections, the comparison filter
+// and the head, drained at the root with no intermediate relation
+// materialized. The result relation does not bump the database
+// generation, so executing one candidate does not invalidate
+// intermediates the IR cache holds for the next.
+func ExecutePlan(db *engine.Database, p *Plan, _ ExecOptions) (*engine.Relation, ExecStats, error) {
 	if p == nil || p.Rewriting == nil {
 		return nil, ExecStats{}, fmt.Errorf("cost: nil plan")
 	}
 	q := p.Rewriting
-	n := len(q.Body)
 	order := p.Order
 	if order == nil {
-		order = identityOrder(n)
+		order = identityOrder(len(q.Body))
 	}
-	if err := validOrder(order, n); err != nil {
+	if err := validOrder(order, len(q.Body)); err != nil {
 		return nil, ExecStats{}, err
 	}
-	if opts.StreamExec {
-		return executeStreaming(db, p, q, order, opts)
+	out, stats, err := db.StreamQuery(q, order, stepRetains(p, order), false)
+	if err != nil {
+		return nil, ExecStats{}, err
 	}
-	return executeMaterialized(db, p, q, order)
+	return out, ExecStats(stats), nil
 }
 
 // stepRetains returns the per-step projection lists for replay: M3
@@ -87,178 +68,4 @@ func stepRetains(p *Plan, order []int) [][]cq.Var {
 		retains[k] = p.Steps[k].Retained
 	}
 	return retains
-}
-
-// executeMaterialized replays the plan's JoinStep chain exactly as the
-// cost simulation ran it — same order, same per-step projections — then
-// filters and projects the head. It deliberately bypasses the IR cache:
-// cached intermediates may have been materialized under a different
-// join order, and while their row sets are equal their insertion order
-// is not, which would break byte-identity with the streaming path.
-func executeMaterialized(db *engine.Database, p *Plan, q *cq.Query, order []int) (*engine.Relation, ExecStats, error) {
-	retains := stepRetains(p, order)
-	var stats ExecStats
-	cur := engine.UnitVarRelation()
-	peak := int64(cur.Size())
-	for k, idx := range order {
-		var retain []cq.Var
-		if retains != nil {
-			retain = retains[k]
-		}
-		next, err := db.JoinStep(cur, q.Body[idx], retain)
-		if err != nil {
-			return nil, ExecStats{}, err
-		}
-		if r := int64(cur.Size()) + int64(next.Size()); r > peak {
-			peak = r
-		}
-		cur = next
-	}
-	if q.HasComparisons() {
-		filtered, err := engine.FilterComparisons(cur, q.Comparisons)
-		if err != nil {
-			return nil, ExecStats{}, err
-		}
-		if r := int64(cur.Size()) + int64(filtered.Size()); r > peak {
-			peak = r
-		}
-		cur = filtered
-	}
-	out, err := db.ProjectHead(cur, q.Head, false)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	if r := int64(cur.Size()) + int64(out.Size()); r > peak {
-		peak = r
-	}
-	stats.Rows = out.Size()
-	stats.PeakResidentRows = peak
-	execPeakHist.Observe(peak)
-	return out, stats, nil
-}
-
-// streamChainKey extends an ordered-prefix stream-cache key by one step.
-// Streams are keyed by the exact execution chain — subgoal order plus
-// per-step retains — not by the M2 subgoal set: a set-keyed stream built
-// under a different order would replay rows in that order's canonical
-// sequence and break byte-identity. Candidate rewritings sharing an
-// identical plan prefix (the common case across one query's candidates)
-// still reuse the buffered stream without re-evaluation.
-func streamChainKey(prev string, atom cq.Atom, retain []cq.Var) string {
-	var b strings.Builder
-	b.WriteString(prev)
-	b.WriteByte(0)
-	b.WriteString(atom.String())
-	b.WriteByte(1)
-	for _, v := range retain {
-		b.WriteString(string(v))
-		b.WriteByte(2)
-	}
-	return b.String()
-}
-
-// executeStreaming composes the plan into a lazy pipeline and drains it
-// at the root. With an IR cache attached (and no symmetric join), every
-// join prefix is wrapped in a BufferedStream and memoized, so later
-// candidate executions resume from the longest cached prefix instead of
-// re-evaluating — trading buffer residency for cross-candidate reuse.
-// Without a cache the pipeline is pure: peak residency is the operator
-// state plus the result.
-func executeStreaming(db *engine.Database, p *Plan, q *cq.Query, order []int, opts ExecOptions) (*engine.Relation, ExecStats, error) {
-	retains := stepRetains(p, order)
-	useCache := db.IRCache() != nil && !opts.SymmetricJoins
-
-	// Precompute per-prefix chain keys and schemas for cache probes.
-	var keys []string
-	var schemas []engine.Schema
-	if useCache {
-		keys = make([]string, len(order))
-		schemas = make([]engine.Schema, len(order))
-		key := "s" + p.Model.String()
-		cur := engine.Schema(nil)
-		for k, idx := range order {
-			var retain []cq.Var
-			if retains != nil {
-				retain = retains[k]
-			}
-			key = streamChainKey(key, q.Body[idx], retain)
-			keys[k] = key
-			cur = engine.JoinSchema(cur, q.Body[idx])
-			if retain != nil {
-				cur = append(engine.Schema(nil), retain...)
-			}
-			schemas[k] = cur
-		}
-	}
-
-	var it engine.RowIterator
-	var err error
-	start := 0
-	if useCache {
-		// Resume from the longest cached prefix. Prefix 0 (a bare scan)
-		// is never cached — buffering it would just copy the relation.
-		for k := len(order) - 1; k >= 1; k-- {
-			if rit, ok := db.StreamLookup(keys[k], schemas[k]); ok {
-				it = rit
-				start = k + 1
-				break
-			}
-		}
-	}
-	for k := start; k < len(order); k++ {
-		idx := order[k]
-		switch {
-		case k == 0:
-			it, err = db.StreamScan(q.Body[idx])
-		case k == 1 && opts.SymmetricJoins:
-			it, err = db.StreamSymmetricJoin(it, q.Body[idx])
-		default:
-			it, err = db.StreamJoin(it, q.Body[idx])
-		}
-		if err != nil {
-			return nil, ExecStats{}, err
-		}
-		if retains != nil && retains[k] != nil {
-			it, err = engine.StreamProject(it, retains[k])
-			if err != nil {
-				return nil, ExecStats{}, err
-			}
-		}
-		if useCache && k >= 1 {
-			bs, berr := engine.NewBufferedStream(it)
-			if berr != nil {
-				return nil, ExecStats{}, berr
-			}
-			if db.StreamStore(keys[k], bs) {
-				it = bs.Reader()
-			} else {
-				// Cache detached mid-run; keep sole ownership.
-				it = bs.Reader()
-				defer bs.Close()
-			}
-		}
-	}
-	if it == nil {
-		// Empty body: the unit pipeline, as in JoinAll.
-		it, err = db.BuildJoinPipeline(nil, nil, nil, false)
-		if err != nil {
-			return nil, ExecStats{}, err
-		}
-	}
-	if q.HasComparisons() {
-		it, err = db.StreamFilter(it, q.Comparisons)
-		if err != nil {
-			return nil, ExecStats{}, err
-		}
-	}
-	it, err = db.StreamHead(it, q.Head)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	out, sstats := db.DrainStream(q.Name(), q.Head.Arity(), it, false)
-	return out, ExecStats{
-		Rows:             sstats.Rows,
-		RawRows:          sstats.RawRows,
-		PeakResidentRows: sstats.PeakResidentRows,
-	}, nil
 }

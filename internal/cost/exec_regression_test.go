@@ -1,37 +1,21 @@
 package cost
 
 import (
-	"runtime"
 	"testing"
 
 	"viewplan/internal/engine"
 	"viewplan/internal/workload"
 )
 
-// mallocsDuring counts heap allocations across one run of f on a
-// single-threaded schedule (deterministic enough at the million-alloc
-// scale these gates compare).
-func mallocsDuring(f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
-// The streaming executor's reason to exist, pinned as a regression
-// test: on a multi-million-row chain whose materialized intermediates
-// exceed the answer by ≥100×, cache-less streaming execution keeps at
-// least 5× fewer resident rows, and the symmetric hash join completes
-// in at least 2× fewer allocations than the materialized replay — while
-// both stay byte-identical to it.
+// The executor's reason to exist, pinned as a regression test on the
+// chain whose intermediates (50k and 200k rows) dwarf its 32-row
+// answer: the materialized oracle's peak exceeds the answer by ≥100×
+// while ExecutePlan, byte-identical to it, holds exactly the answer and
+// allocates a constant handful of objects however many rows stream
+// through.
 func TestStreamExecPeakAndAllocRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-million-row workload")
-	}
 	db := engine.NewDatabase()
-	q, err := workload.ExecChain(db, workload.ExecConfig{Keys: 300000, FanOut: 4})
+	q, err := workload.ExecChain(db, workload.ExecConfig{Keys: 50000, FanOut: 4, Heads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,47 +23,39 @@ func TestStreamExecPeakAndAllocRegression(t *testing.T) {
 	// cost simulation's own materialization stays out of the picture.
 	plan := &Plan{Model: M2, Rewriting: q}
 
-	var matOut *engine.Relation
-	var matStats ExecStats
-	matAllocs := mallocsDuring(func() {
-		matOut, matStats, err = ExecutePlan(db, plan, ExecOptions{})
-	})
+	want, err := runOracle(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matOut.Size() == 0 {
+	if want.rel.Size() == 0 {
 		t.Fatal("empty answer; the workload generator is broken")
 	}
-	if blowup := matStats.PeakResidentRows / int64(matOut.Size()); blowup < 100 {
-		t.Fatalf("materialized intermediates exceed the answer only %d×, want ≥100× (peak %d, answer %d)",
-			blowup, matStats.PeakResidentRows, matOut.Size())
+	if blowup := want.stats.PeakResidentRows / int64(want.rel.Size()); blowup < 100 {
+		t.Fatalf("oracle intermediates exceed the answer only %d×, want ≥100× (peak %d, answer %d)",
+			blowup, want.stats.PeakResidentRows, want.rel.Size())
 	}
-
-	strOut, strStats, err := ExecutePlan(db, plan, ExecOptions{StreamExec: true})
+	got, err := runProduction(db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rowsIdentical(matOut, strOut) {
-		t.Fatal("streaming answer differs from materialized")
+	if !rowsIdentical(want.rel, got.rel) {
+		t.Fatal("ExecutePlan answer differs from the oracle's")
 	}
-	if strStats.PeakResidentRows*5 > matStats.PeakResidentRows {
-		t.Fatalf("streaming peak %d not ≥5× below materialized peak %d",
-			strStats.PeakResidentRows, matStats.PeakResidentRows)
+	if got.stats.PeakResidentRows != int64(got.rel.Size()) {
+		t.Fatalf("ExecutePlan peak %d resident rows, want exactly the answer's %d",
+			got.stats.PeakResidentRows, got.rel.Size())
 	}
-
-	var symOut *engine.Relation
-	symAllocs := mallocsDuring(func() {
-		symOut, _, err = ExecutePlan(db, plan, ExecOptions{StreamExec: true, SymmetricJoins: true})
+	// 46 allocs/op when recorded (go1.24); the margin absorbs pooled
+	// frames lost to a GC cycle between runs.
+	const maxAllocs = 50
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := ExecutePlan(db, plan, ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	if allocs > maxAllocs {
+		t.Fatalf("ExecutePlan allocated %.0f objects/op, budget %d", allocs, maxAllocs)
 	}
-	if !rowsIdentical(matOut, symOut) {
-		t.Fatal("symmetric answer differs from materialized")
-	}
-	if symAllocs*2 > matAllocs {
-		t.Fatalf("symmetric join allocated %d, not ≥2× below materialized %d", symAllocs, matAllocs)
-	}
-	t.Logf("answer %d rows; peak resident: materialized %d, streaming %d; allocs: materialized %d, symmetric %d",
-		matOut.Size(), matStats.PeakResidentRows, strStats.PeakResidentRows, matAllocs, symAllocs)
+	t.Logf("answer %d rows; peak resident: oracle %d, ExecutePlan %d; %.0f allocs/op",
+		want.rel.Size(), want.stats.PeakResidentRows, got.stats.PeakResidentRows, allocs)
 }

@@ -7,7 +7,6 @@ import (
 	"viewplan/internal/corecover"
 	"viewplan/internal/cq"
 	"viewplan/internal/engine"
-	"viewplan/internal/obs"
 	"viewplan/internal/views"
 )
 
@@ -43,39 +42,36 @@ func rowsIdentical(a, b *engine.Relation) bool {
 	return true
 }
 
-// execAllWays runs one plan through every execution strategy and checks
-// byte-identity against the materialized replay.
-func execAllWays(t *testing.T, db *engine.Database, p *Plan) *engine.Relation {
+// execVsOracle runs one plan through ExecutePlan and through the
+// materialized oracle and checks byte-identity, the stats' consistency,
+// and that the executor probed no more index rows than the oracle did.
+func execVsOracle(t *testing.T, db *engine.Database, p *Plan) (got, want oracleRun) {
 	t.Helper()
-	want, wstats, err := ExecutePlan(db, p, ExecOptions{})
+	want, err := runOracle(db, p)
 	if err != nil {
-		t.Fatalf("ExecutePlan(materialized, %v): %v", p.Rewriting, err)
+		t.Fatalf("oracle(%v): %v", p.Rewriting, err)
 	}
-	if wstats.Rows != want.Size() {
-		t.Fatalf("materialized stats.Rows = %d, want %d", wstats.Rows, want.Size())
+	got, err = runProduction(db, p)
+	if err != nil {
+		t.Fatalf("ExecutePlan(%v): %v", p.Rewriting, err)
 	}
-	for _, opts := range []ExecOptions{
-		{StreamExec: true},
-		{StreamExec: true, SymmetricJoins: true},
-	} {
-		got, stats, err := ExecutePlan(db, p, opts)
-		if err != nil {
-			t.Fatalf("ExecutePlan(%+v, %v): %v", opts, p.Rewriting, err)
-		}
-		if !rowsIdentical(want, got) {
-			t.Fatalf("%+v result differs for %v:\nmaterialized %v\nstreaming    %v",
-				opts, p.Rewriting, want.SortedRows(), got.SortedRows())
-		}
-		if stats.Rows != got.Size() || stats.RawRows < int64(got.Size()) {
-			t.Fatalf("%+v stats = %+v for %d rows", opts, stats, got.Size())
-		}
+	if !rowsIdentical(want.rel, got.rel) {
+		t.Fatalf("result differs for %v:\noracle      %v\nExecutePlan %v",
+			p.Rewriting, want.rel.SortedRows(), got.rel.SortedRows())
 	}
-	return want
+	if got.stats.Rows != got.rel.Size() || got.stats.RawRows < int64(got.rel.Size()) {
+		t.Fatalf("stats = %+v for %d rows", got.stats, got.rel.Size())
+	}
+	if got.probeRows > want.probeRows {
+		t.Fatalf("ExecutePlan probed %d index rows, the oracle %d, for\n%v", got.probeRows, want.probeRows, p)
+	}
+	return got, want
 }
 
-// Every execution strategy produces the byte-identical relation on
-// random M2 and M3 plans over random chain instances, with and without
-// an IR cache attached.
+// ExecutePlan produces the oracle's byte-identical relation, probing no
+// more index rows, on random M2 and M3 plans over random chain
+// instances — with and without an IR cache attached (PlanQuery executes
+// with one attached; the executor must not be affected by it).
 func TestQuickExecutePlanAllPathsIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		db, p, q, vs, ok := costFixture(seed)
@@ -90,32 +86,18 @@ func TestQuickExecutePlanAllPathsIdentical(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var base *engine.Relation
+		var base oracleRun
 		for _, plan := range []*Plan{m2, m3} {
 			db.SetIRCache(nil)
-			base, _, err = ExecutePlan(db, plan, ExecOptions{})
+			base, err = runOracle(db, plan)
 			if err != nil {
 				return false
 			}
-			for _, cached := range []bool{false, true} {
-				if cached {
-					db.SetIRCache(engine.NewIRCache())
-				} else {
-					db.SetIRCache(nil)
-				}
-				for _, opts := range []ExecOptions{
-					{},
-					{StreamExec: true},
-					{StreamExec: true, SymmetricJoins: true},
-				} {
-					// Twice per configuration so the second cached
-					// streaming run replays a memoized prefix.
-					for i := 0; i < 2; i++ {
-						got, _, err := ExecutePlan(db, plan, opts)
-						if err != nil || !rowsIdentical(base, got) {
-							return false
-						}
-					}
+			for _, cache := range []*engine.IRCache{nil, engine.NewIRCache()} {
+				db.SetIRCache(cache)
+				got, err := runProduction(db, plan)
+				if err != nil || !rowsIdentical(base.rel, got.rel) || got.probeRows > base.probeRows {
+					return false
 				}
 			}
 		}
@@ -126,7 +108,7 @@ func TestQuickExecutePlanAllPathsIdentical(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sa, sb := re.SortedRows(), base.SortedRows()
+		sa, sb := re.SortedRows(), base.rel.SortedRows()
 		if len(sa) != len(sb) {
 			return false
 		}
@@ -144,8 +126,8 @@ func TestQuickExecutePlanAllPathsIdentical(t *testing.T) {
 	}
 }
 
-// Directed: the paper's Example 6.1 plans execute identically under all
-// strategies, and M3's per-step Retained projections are honored.
+// Directed: the paper's Example 6.1 plans execute identically to the
+// oracle, and M3's per-step Retained projections are honored.
 func TestExecutePlanExample61(t *testing.T) {
 	db, vs, q := example61(t)
 	res := rewritingsFor(t, q, vs)
@@ -154,86 +136,45 @@ func TestExecutePlanExample61(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		execAllWays(t, db, m2)
+		execVsOracle(t, db, m2)
 		m3, err := BestPlanM3(db, p, SupplementaryRelations, q, vs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := execAllWays(t, db, m3)
-		if out.Arity != q.Head.Arity() {
-			t.Fatalf("result arity %d, want %d", out.Arity, q.Head.Arity())
+		out, _ := execVsOracle(t, db, m3)
+		if out.rel.Arity != q.Head.Arity() {
+			t.Fatalf("result arity %d, want %d", out.rel.Arity, q.Head.Arity())
 		}
 	}
 }
 
-// With an IR cache attached, a second streaming execution of the same
-// plan reuses buffered stream prefixes instead of re-running the joins.
-func TestExecutePlanStreamCacheReuse(t *testing.T) {
-	db, vs, q := example61(t)
-	res := rewritingsFor(t, q, vs)
-	p, err := BestPlanM2(db, res[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetIRCache(engine.NewIRCache())
-	defer db.SetIRCache(nil)
-	tr := obs.New()
-	db.SetTracer(tr)
-	defer db.SetTracer(nil)
-	first, _, err := ExecutePlan(db, p, ExecOptions{StreamExec: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := tr.Counter(obs.CtrIRCacheHit)
-	second, _, err := ExecutePlan(db, p, ExecOptions{StreamExec: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Counter(obs.CtrIRCacheHit); got <= hits {
-		t.Fatalf("second execution hit the stream cache %d times, want > %d", got, hits)
-	}
-	if !rowsIdentical(first, second) {
-		t.Fatal("cached streaming execution differs from the first run")
-	}
-	// Symmetric executions skip the cache but still agree.
-	sym, _, err := ExecutePlan(db, p, ExecOptions{StreamExec: true, SymmetricJoins: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rowsIdentical(first, sym) {
-		t.Fatal("symmetric execution differs from cached streaming execution")
-	}
-}
-
-// Peak residency accounting: the materialized path reports at least the
-// largest intermediate, and the cache-less streaming path reports less
-// on a plan whose intermediates exceed the final result.
+// Peak residency accounting: the oracle reports at least the largest
+// intermediate; the executor holds the answer only on M2 plans, and the
+// projection dedup sets besides on M3 plans.
 func TestExecutePlanPeakResident(t *testing.T) {
 	db, vs, q := example61(t)
 	res := rewritingsFor(t, q, vs)
 	db.SetIRCache(nil)
 	for _, r := range res {
-		p, err := BestPlanM2(db, r)
+		m2, err := BestPlanM2(db, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, mstats, err := ExecutePlan(db, p, ExecOptions{})
+		m3, err := BestPlanM3(db, r, SupplementaryRelations, q, vs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mstats.PeakResidentRows < int64(out.Size()) {
-			t.Fatalf("materialized peak %d < result %d", mstats.PeakResidentRows, out.Size())
-		}
-		_, sstats, err := ExecutePlan(db, p, ExecOptions{StreamExec: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sstats.PeakResidentRows <= 0 {
-			t.Fatalf("streaming peak = %d", sstats.PeakResidentRows)
-		}
-		if sstats.PeakResidentRows > mstats.PeakResidentRows {
-			t.Fatalf("streaming peak %d exceeds materialized peak %d",
-				sstats.PeakResidentRows, mstats.PeakResidentRows)
+		for _, p := range []*Plan{m2, m3} {
+			got, want := execVsOracle(t, db, p)
+			if want.stats.PeakResidentRows < int64(want.rel.Size()) {
+				t.Fatalf("oracle peak %d < result %d", want.stats.PeakResidentRows, want.rel.Size())
+			}
+			if got.stats.PeakResidentRows < int64(got.rel.Size()) {
+				t.Fatalf("executor peak %d < result %d", got.stats.PeakResidentRows, got.rel.Size())
+			}
+			if p.Model == M2 && got.stats.PeakResidentRows != int64(got.rel.Size()) {
+				t.Fatalf("M2 executor peak %d, want the answer's %d rows", got.stats.PeakResidentRows, got.rel.Size())
+			}
 		}
 	}
 }

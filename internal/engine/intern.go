@@ -141,18 +141,11 @@ type rowIndex struct {
 }
 
 func newRowIndex(width int) *rowIndex {
-	return newRowIndexSized(width, 0)
-}
-
-// newRowIndexSized presizes the bucket map for an expected key count:
-// the symmetric join sizes its build tables up front so incremental
-// inserts don't rehash mid-stream.
-func newRowIndexSized(width, hint int) *rowIndex {
 	ix := &rowIndex{width: width}
 	if width <= 2 {
-		ix.narrow = make(map[uint64][]int32, hint)
+		ix.narrow = make(map[uint64][]int32)
 	} else {
-		ix.wide = make(map[string][]int32, hint)
+		ix.wide = make(map[string][]int32)
 	}
 	return ix
 }

@@ -29,11 +29,6 @@ type IRCache struct {
 	mu  sync.Mutex
 	gen uint64
 	m   map[string]*VarRelation
-	// streams memoizes buffered pipeline prefixes for the streaming
-	// execution path, under the same canonical keys. Kept separate from
-	// m: the same subgoal set can be cached both materialized (by the
-	// cost simulation) and as a stream (by plan execution).
-	streams map[string]*BufferedStream
 }
 
 // NewIRCache creates an empty cache.
@@ -51,15 +46,10 @@ func (db *Database) SetIRCache(c *IRCache) { db.ir = c }
 func (db *Database) IRCache() *IRCache { return db.ir }
 
 // lockedSync points m at a fresh map when the database has been
-// mutated since the cache last ran, closing any evicted streams so
-// their pipelines release pooled frames. Callers hold c.mu.
+// mutated since the cache last ran. Callers hold c.mu.
 func (c *IRCache) lockedSync(dbGen uint64) {
 	if c.gen != dbGen {
 		c.m = make(map[string]*VarRelation)
-		for _, bs := range c.streams { //viewplan:nondet-ok — closing every evicted stream; order is unobservable
-			bs.Close()
-		}
-		c.streams = nil
 		c.gen = dbGen
 	}
 }
@@ -106,52 +96,6 @@ func (db *Database) IRStore(key string, vr *VarRelation) {
 	c.lockedSync(db.gen)
 	c.m[key] = vr
 	c.mu.Unlock()
-}
-
-// StreamLookup returns a reader over the stream memoized under key,
-// with columns permuted into want order when the buffered schema
-// differs (a lazy projection — buffered rows are not copied). Hits and
-// misses tick the ir_cache counters like IRLookup.
-func (db *Database) StreamLookup(key string, want Schema) (RowIterator, bool) {
-	c := db.ir
-	if c == nil {
-		return nil, false
-	}
-	tr := db.Tracer()
-	c.mu.Lock()
-	c.lockedSync(db.gen)
-	bs := c.streams[key]
-	c.mu.Unlock()
-	if bs != nil {
-		if schemaEqual(bs.Schema(), want) {
-			tr.Add(obs.CtrIRCacheHit, 1)
-			return bs.Reader(), true
-		}
-		if re, err := StreamProject(bs.Reader(), want); err == nil {
-			tr.Add(obs.CtrIRCacheHit, 1)
-			return re, true
-		}
-	}
-	tr.Add(obs.CtrIRCacheMiss, 1)
-	return nil, false
-}
-
-// StreamStore memoizes a buffered pipeline prefix under key, taking
-// ownership of the stream (invalidation closes it). No-op without an
-// attached cache — the caller keeps ownership and false is returned.
-func (db *Database) StreamStore(key string, bs *BufferedStream) bool {
-	c := db.ir
-	if c == nil || bs == nil {
-		return false
-	}
-	c.mu.Lock()
-	c.lockedSync(db.gen)
-	if c.streams == nil {
-		c.streams = make(map[string]*BufferedStream)
-	}
-	c.streams[key] = bs
-	c.mu.Unlock()
-	return true
 }
 
 func schemaEqual(a, b Schema) bool {

@@ -1,21 +1,19 @@
-// Streaming execution: lazy iterator composition over interned rows.
-// The operators here are compiled from the same atomSpec machinery as
-// the materialized JoinStep kernel, so both paths classify subgoal
-// positions, check constants and repeated variables, and order output
-// columns identically. A pipeline of scan → probe joins → filter →
-// project → head preserves the materialized insertion order exactly
-// (DESIGN §16: duplicates introduced by skipping intermediate dedup
-// only ever repeat already-emitted value sequences), so the ordered
-// drain at the plan root reproduces the materialized relation
-// byte-for-byte without sorting. Pipelines containing a symmetric hash
-// join (symjoin.go) perturb arrival order and instead tag every row
-// with a provenance rank vector; the drain sorts those lexicographically
-// to recover the same canonical order.
+// Plan execution: lazy iterator composition over interned rows. This is
+// the one way a query or an optimizer-chosen plan is run; the
+// materialized JoinStep kernel remains as the cost simulation's
+// substrate and as the tests' byte-identity oracle. The operators here
+// are compiled from the same atomSpec machinery as JoinStep, so both
+// classify subgoal positions, check constants and repeated variables,
+// and order output columns identically. Every operator of a scan →
+// probe joins → project → filter → head pipeline emits exactly the rows
+// of the materialized intermediate it stands for, in that relation's
+// insertion order (DESIGN §16), so the drain at the root reproduces the
+// materialized answer byte-for-byte without sorting.
 package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"viewplan/internal/cq"
@@ -34,24 +32,10 @@ type RowIterator interface {
 	Close()
 }
 
-// rankedIterator is implemented by operators that can tag each row with
-// a provenance rank: a fixed-width vector, lexicographically ordered,
-// whose sort recovers the materialized insertion order after an
-// order-perturbing operator (the symmetric join). NextRanked's row and
-// rank are valid until the following call.
-type rankedIterator interface {
-	RowIterator
-	NextRanked() ([]uint32, []int64, bool)
-	// orderPreserved reports whether arrival order already equals the
-	// canonical materialized order, letting the drain skip rank
-	// collection entirely.
-	orderPreserved() bool
-}
-
 // residentIterator reports how many rows an operator subtree currently
-// holds in execution-owned state (symmetric-join tables, stream
-// buffers). Resident sets only grow during a drain, so sampling at
-// exhaustion captures the peak.
+// holds in execution-owned state (the projection dedup sets). Resident
+// sets only grow during a drain, so sampling at exhaustion captures the
+// peak.
 type residentIterator interface {
 	residentRows() int64
 }
@@ -169,7 +153,6 @@ func (it *scanIterator) Close() {
 type probeJoinIterator struct {
 	db    *Database
 	in    RowIterator
-	rin   rankedIterator // non-nil when rank propagation is needed
 	spec  atomSpec
 	index *rowIndex
 	w     int // input row width
@@ -178,7 +161,6 @@ type probeJoinIterator struct {
 	probeKey []uint32
 	bucket   []int32
 	bi       int
-	rank     []int64
 
 	emitted int64
 	probed  int64
@@ -195,36 +177,22 @@ func (db *Database) StreamJoin(in RowIterator, atom cq.Atom) (RowIterator, error
 		in.Close()
 		return nil, err
 	}
-	it := &probeJoinIterator{
+	return &probeJoinIterator{
 		db:       db,
 		in:       in,
 		spec:     spec,
 		w:        len(in.Schema()),
 		frame:    newFrame(len(spec.out)),
 		probeKey: make([]uint32, len(spec.curCols)),
-	}
-	if r, ok := in.(rankedIterator); ok && !r.orderPreserved() {
-		it.rin = r
-	}
-	return it, nil
+	}, nil
 }
 
-func (it *probeJoinIterator) Schema() Schema       { return it.spec.out }
-func (it *probeJoinIterator) orderPreserved() bool { return it.rin == nil }
+func (it *probeJoinIterator) Schema() Schema { return it.spec.out }
 
 func (it *probeJoinIterator) Next() ([]uint32, bool) {
-	row, _, ok := it.step()
-	return row, ok
-}
-
-func (it *probeJoinIterator) NextRanked() ([]uint32, []int64, bool) {
-	return it.step()
-}
-
-func (it *probeJoinIterator) step() ([]uint32, []int64, bool) {
 	spec := &it.spec
 	if spec.impossible || spec.rel.n == 0 {
-		return nil, nil, false
+		return nil, false
 	}
 	for {
 		for it.bi < len(it.bucket) {
@@ -239,28 +207,11 @@ func (it *probeJoinIterator) step() ([]uint32, []int64, bool) {
 				buf[it.w+j] = right[np]
 			}
 			it.emitted++
-			if it.rin != nil {
-				// The bucket row number extends the input's rank: buckets
-				// list rows in insertion order, so (input rank, ri) sorts
-				// emissions into the materialized nested-loop order.
-				it.rank[len(it.rank)-1] = int64(ri)
-			}
-			return buf, it.rank, true
+			return buf, true
 		}
-		var left []uint32
-		var ok bool
-		if it.rin != nil {
-			var lrank []int64
-			left, lrank, ok = it.rin.NextRanked()
-			if ok {
-				it.rank = append(it.rank[:0], lrank...)
-				it.rank = append(it.rank, 0)
-			}
-		} else {
-			left, ok = it.in.Next()
-		}
+		left, ok := it.in.Next()
 		if !ok {
-			return nil, nil, false
+			return nil, false
 		}
 		if it.index == nil {
 			it.index = spec.rel.indexFor(spec.joinCols)
@@ -284,6 +235,10 @@ func (it *probeJoinIterator) Close() {
 	tr := it.db.Tracer()
 	tr.Add(obs.CtrStreamJoins, 1)
 	tr.Add(obs.CtrStreamedRows, it.emitted)
+	// The streaming join is the executor's join step, so it also feeds
+	// the counters JoinStep ticks for the cost simulation.
+	tr.Add(obs.CtrJoinSteps, 1)
+	tr.Add(obs.CtrJoinRows, it.emitted)
 	tr.Add(obs.CtrJoinProbeRows, it.probed)
 	framePool.Put(it.frame)
 	it.frame = nil
@@ -296,7 +251,6 @@ func (it *probeJoinIterator) residentRows() int64 { return pipelineResident(it.i
 // against the input schema exactly like FilterComparisons.
 type filterIterator struct {
 	in     RowIterator
-	rin    rankedIterator
 	intern *Interner
 	checks []streamCheck
 }
@@ -341,16 +295,12 @@ func (db *Database) StreamFilter(in RowIterator, comps []cq.Comparison) (RowIter
 		}
 		it.checks[i] = streamCheck{op: c.Op, lcol: lc, rcol: rc, lval: lv, rval: rv}
 	}
-	if r, ok := in.(rankedIterator); ok && !r.orderPreserved() {
-		it.rin = r
-	}
 	return it, nil
 }
 
-func (it *filterIterator) Schema() Schema       { return it.in.Schema() }
-func (it *filterIterator) Close()               { it.in.Close() }
-func (it *filterIterator) orderPreserved() bool { return it.rin == nil }
-func (it *filterIterator) residentRows() int64  { return pipelineResident(it.in) }
+func (it *filterIterator) Schema() Schema      { return it.in.Schema() }
+func (it *filterIterator) Close()              { it.in.Close() }
+func (it *filterIterator) residentRows() int64 { return pipelineResident(it.in) }
 
 func (it *filterIterator) passes(row []uint32) bool {
 	for _, ch := range it.checks {
@@ -380,34 +330,28 @@ func (it *filterIterator) Next() ([]uint32, bool) {
 	}
 }
 
-func (it *filterIterator) NextRanked() ([]uint32, []int64, bool) {
-	for {
-		row, rank, ok := it.rin.NextRanked()
-		if !ok {
-			return nil, nil, false
-		}
-		if it.passes(row) {
-			return row, rank, true
-		}
-	}
-}
-
-// projectIterator keeps only the given variables, in the given order:
-// the streaming counterpart of VarRelation.Project minus the dedup,
-// which the drain at the root performs instead.
+// projectIterator keeps only the given variables, in the given order,
+// with set semantics: the streaming counterpart of VarRelation.Project.
+// A row is forwarded the first time its projection appears — which is
+// the materialized insertion order — so the operators above never redo
+// work the materialized path would not have done.
 type projectIterator struct {
 	in    RowIterator
-	rin   rankedIterator
 	out   Schema
 	cols  []int
 	frame *streamFrame
+	// seen is the dedup set over emitted rows; nil when every input
+	// column survives, since a permutation of distinct rows is distinct.
+	seen  *rowSet
+	nseen int64
 }
 
-// StreamProject returns a lazy projection of the input stream onto the
-// given variables. On error the input is closed.
+// StreamProject returns a lazy duplicate-free projection of the input
+// stream onto the given variables. On error the input is closed.
 func StreamProject(in RowIterator, keep []cq.Var) (RowIterator, error) {
 	schema := in.Schema()
 	cols := make([]int, len(keep))
+	kept := make([]bool, len(schema))
 	for i, v := range keep {
 		c := schema.IndexOf(v)
 		if c < 0 {
@@ -415,6 +359,7 @@ func StreamProject(in RowIterator, keep []cq.Var) (RowIterator, error) {
 			return nil, fmt.Errorf("engine: projection variable %s not in schema %v", v, schema)
 		}
 		cols[i] = c
+		kept[c] = true
 	}
 	it := &projectIterator{
 		in:    in,
@@ -422,38 +367,33 @@ func StreamProject(in RowIterator, keep []cq.Var) (RowIterator, error) {
 		cols:  cols,
 		frame: newFrame(len(keep)),
 	}
-	if r, ok := in.(rankedIterator); ok && !r.orderPreserved() {
-		it.rin = r
+	if slices.Contains(kept, false) {
+		it.seen = newRowSet(len(keep))
 	}
 	return it, nil
 }
 
-func (it *projectIterator) Schema() Schema       { return it.out }
-func (it *projectIterator) orderPreserved() bool { return it.rin == nil }
-func (it *projectIterator) residentRows() int64  { return pipelineResident(it.in) }
-
-func (it *projectIterator) apply(row []uint32) []uint32 {
-	buf := it.frame.buf
-	for j, c := range it.cols {
-		buf[j] = row[c]
-	}
-	return buf
-}
+func (it *projectIterator) Schema() Schema      { return it.out }
+func (it *projectIterator) residentRows() int64 { return it.nseen + pipelineResident(it.in) }
 
 func (it *projectIterator) Next() ([]uint32, bool) {
-	row, ok := it.in.Next()
-	if !ok {
-		return nil, false
+	for {
+		row, ok := it.in.Next()
+		if !ok {
+			return nil, false
+		}
+		buf := it.frame.buf
+		for j, c := range it.cols {
+			buf[j] = row[c]
+		}
+		if it.seen == nil {
+			return buf, true
+		}
+		if it.seen.add(buf) {
+			it.nseen++
+			return buf, true
+		}
 	}
-	return it.apply(row), true
-}
-
-func (it *projectIterator) NextRanked() ([]uint32, []int64, bool) {
-	row, rank, ok := it.rin.NextRanked()
-	if !ok {
-		return nil, nil, false
-	}
-	return it.apply(row), rank, true
 }
 
 func (it *projectIterator) Close() {
@@ -470,7 +410,6 @@ func (it *projectIterator) Close() {
 // fast path as Evaluate's interned projection.
 type headIterator struct {
 	in       RowIterator
-	rin      rankedIterator
 	cols     []int // input column, or -1 for a constant position
 	constIDs []uint32
 	frame    *streamFrame
@@ -484,7 +423,6 @@ func (db *Database) StreamHead(in RowIterator, head cq.Atom) (RowIterator, error
 		in:       in,
 		cols:     make([]int, len(head.Args)),
 		constIDs: make([]uint32, len(head.Args)),
-		frame:    newFrame(len(head.Args)),
 	}
 	for i, arg := range head.Args {
 		switch a := arg.(type) {
@@ -500,17 +438,18 @@ func (db *Database) StreamHead(in RowIterator, head cq.Atom) (RowIterator, error
 			it.constIDs[i] = db.in.ID(a)
 		}
 	}
-	if r, ok := in.(rankedIterator); ok && !r.orderPreserved() {
-		it.rin = r
-	}
+	it.frame = newFrame(len(head.Args))
 	return it, nil
 }
 
-func (it *headIterator) Schema() Schema       { return nil }
-func (it *headIterator) orderPreserved() bool { return it.rin == nil }
-func (it *headIterator) residentRows() int64  { return pipelineResident(it.in) }
+func (it *headIterator) Schema() Schema      { return nil }
+func (it *headIterator) residentRows() int64 { return pipelineResident(it.in) }
 
-func (it *headIterator) apply(row []uint32) []uint32 {
+func (it *headIterator) Next() ([]uint32, bool) {
+	row, ok := it.in.Next()
+	if !ok {
+		return nil, false
+	}
 	buf := it.frame.buf
 	for i, c := range it.cols {
 		if c < 0 {
@@ -519,23 +458,7 @@ func (it *headIterator) apply(row []uint32) []uint32 {
 			buf[i] = row[c]
 		}
 	}
-	return buf
-}
-
-func (it *headIterator) Next() ([]uint32, bool) {
-	row, ok := it.in.Next()
-	if !ok {
-		return nil, false
-	}
-	return it.apply(row), true
-}
-
-func (it *headIterator) NextRanked() ([]uint32, []int64, bool) {
-	row, rank, ok := it.rin.NextRanked()
-	if !ok {
-		return nil, nil, false
-	}
-	return it.apply(row), rank, true
+	return buf, true
 }
 
 func (it *headIterator) Close() {
@@ -547,7 +470,7 @@ func (it *headIterator) Close() {
 	it.in.Close()
 }
 
-// StreamStats reports what one streaming drain did.
+// StreamStats reports what one drain did.
 type StreamStats struct {
 	// Rows is the number of distinct rows in the drained result.
 	Rows int
@@ -555,21 +478,17 @@ type StreamStats struct {
 	// before set-semantics dedup.
 	RawRows int64
 	// PeakResidentRows is the peak number of execution-owned resident
-	// rows: operator state (symmetric tables, stream buffers) plus the
-	// accumulating result, plus the rank-sort staging on ranked drains.
+	// rows: the projection dedup sets plus the accumulating result.
 	PeakResidentRows int64
 }
 
 // DrainStream materializes a stream into a named relation with set
-// semantics. Order-preserving pipelines insert rows as they arrive;
-// pipelines containing a symmetric join are drained through a rank sort
-// first. Either way the result is byte-identical to the materialized
-// path's relation. bumpGen controls whether inserts advance the
-// database generation (the IR cache's staleness clock): query
-// evaluation bumps it like Evaluate does, while plan execution drains
-// with bumpGen=false so executing one candidate rewriting does not
-// invalidate intermediates cached for the next. The pipeline is closed
-// before returning.
+// semantics, inserting rows as they arrive. bumpGen controls whether
+// inserts advance the database generation (the IR cache's staleness
+// clock): query evaluation bumps it like Evaluate does, while plan
+// execution drains with bumpGen=false so executing one candidate
+// rewriting does not invalidate intermediates cached for the next. The
+// pipeline is closed before returning.
 func (db *Database) DrainStream(name string, arity int, it RowIterator, bumpGen bool) (*Relation, StreamStats) {
 	var gen *uint64
 	if bumpGen {
@@ -577,122 +496,66 @@ func (db *Database) DrainStream(name string, arity int, it RowIterator, bumpGen 
 	}
 	out := newRelationIn(name, arity, db.in, gen)
 	var stats StreamStats
-	ranked := false
-	if r, ok := it.(rankedIterator); ok && !r.orderPreserved() {
-		ranked = true
-		drainRanked(out, r, &stats)
-	} else {
-		for {
-			row, ok := it.Next()
-			if !ok {
-				break
-			}
-			stats.RawRows++
-			out.insertIDs(row)
+	for {
+		row, ok := it.Next()
+		if !ok {
+			break
 		}
+		stats.RawRows++
+		out.insertIDs(row)
 	}
 	stats.Rows = out.Size()
 	stats.PeakResidentRows = pipelineResident(it) + int64(out.Size())
-	if ranked {
-		stats.PeakResidentRows += stats.RawRows
-	}
 	peakResidentHist.Observe(stats.PeakResidentRows)
 	it.Close()
 	return out, stats
 }
 
-// drainRanked collects every (row, rank) pair, sorts by rank — rank
-// vectors are pairwise distinct, so the lexicographic order is total
-// and the sort deterministic — and inserts in that order, recovering
-// the materialized insertion sequence.
-func drainRanked(out *Relation, r rankedIterator, stats *StreamStats) {
-	w := out.Arity
-	var rows []uint32
-	var ranks []int64
-	rankW := 0
-	for {
-		row, rank, ok := r.NextRanked()
-		if !ok {
-			break
-		}
-		rankW = len(rank)
-		stats.RawRows++
-		rows = append(rows, row...)
-		ranks = append(ranks, rank...)
-	}
-	n := int(stats.RawRows)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra := ranks[order[a]*rankW : order[a]*rankW+rankW]
-		rb := ranks[order[b]*rankW : order[b]*rankW+rankW]
-		for k := 0; k < rankW; k++ {
-			if ra[k] != rb[k] {
-				return ra[k] < rb[k]
-			}
-		}
-		return false
-	})
-	for _, i := range order {
-		out.insertIDs(rows[i*w : i*w+w])
-	}
-}
-
-// StreamOptions configures the streaming evaluation pipeline.
-type StreamOptions struct {
-	// Symmetric executes the first join as a streaming symmetric hash
-	// join (symjoin.go) instead of a build/probe join, so neither input
-	// relation's index must be built up front and both sides stream.
-	Symmetric bool
-}
-
 // EvaluateStream computes the same answer relation as Evaluate through
-// the lazy iterator path: no intermediate relation is materialized, and
-// the ordered drain at the root makes the result byte-identical to
-// Evaluate's (same name, same interner, same insertion order).
-func (db *Database) EvaluateStream(q *cq.Query, opt StreamOptions) (*Relation, StreamStats, error) {
+// the iterator path: no intermediate relation is materialized, and the
+// result is byte-identical to Evaluate's (same name, same interner,
+// same insertion order).
+func (db *Database) EvaluateStream(q *cq.Query) (*Relation, StreamStats, error) {
 	if err := q.Validate(); err != nil {
 		return nil, StreamStats{}, err
 	}
-	order := db.greedyOrder(q.Body)
-	it, err := db.BuildJoinPipeline(q.Body, order, nil, opt.Symmetric)
+	return db.StreamQuery(q, db.greedyOrder(q.Body), nil, true)
+}
+
+// StreamQuery is the executor: it joins q's body in the given order
+// (see BuildJoinPipeline for retains), applies q's comparisons and head,
+// and drains the pipeline into the relation named after q (see
+// DrainStream for bumpGen). cost.ExecutePlan drives it with plan orders
+// and the M3 per-step retains.
+func (db *Database) StreamQuery(q *cq.Query, order []int, retains [][]cq.Var, bumpGen bool) (*Relation, StreamStats, error) {
+	it, err := db.BuildJoinPipeline(q.Body, order, retains)
 	if err != nil {
 		return nil, StreamStats{}, err
 	}
-	if q.HasComparisons() {
-		it, err = db.StreamFilter(it, q.Comparisons)
-		if err != nil {
-			return nil, StreamStats{}, err
-		}
-	}
-	it, err = db.StreamHead(it, q.Head)
-	if err != nil {
+	if it, err = db.StreamFilter(it, q.Comparisons); err != nil {
 		return nil, StreamStats{}, err
 	}
-	rel, stats := db.DrainStream(q.Name(), q.Head.Arity(), it, true)
+	if it, err = db.StreamHead(it, q.Head); err != nil {
+		return nil, StreamStats{}, err
+	}
+	rel, stats := db.DrainStream(q.Name(), q.Head.Arity(), it, bumpGen)
 	return rel, stats, nil
 }
 
-// BuildJoinPipeline composes scans and joins for the body atoms in the
-// given order. retains[k], when non-nil, projects after step k (the M3
-// supplementary-relation drops); symmetric executes the first join
-// symmetrically. The plan executors in internal/cost drive this with
-// plan orders instead of the greedy one.
-func (db *Database) BuildJoinPipeline(body []cq.Atom, order []int, retains [][]cq.Var, symmetric bool) (RowIterator, error) {
+// BuildJoinPipeline composes a scan and probe joins for the body atoms
+// in the given order. retains[k], when non-nil, projects after step k
+// (the M3 supplementary-relation drops). When construction fails midway
+// the operators already built are closed.
+func (db *Database) BuildJoinPipeline(body []cq.Atom, order []int, retains [][]cq.Var) (RowIterator, error) {
 	if len(order) == 0 {
 		return &unitIterator{}, nil
 	}
 	var it RowIterator
 	var err error
 	for k, idx := range order {
-		switch {
-		case k == 0:
+		if k == 0 {
 			it, err = db.StreamScan(body[idx])
-		case k == 1 && symmetric:
-			it, err = db.StreamSymmetricJoin(it, body[idx])
-		default:
+		} else {
 			it, err = db.StreamJoin(it, body[idx])
 		}
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"viewplan/internal/cq"
+	"viewplan/internal/obs"
 )
 
 // relIdentical is the byte-identity check of DESIGN §16: same name,
@@ -28,25 +29,18 @@ func evalBothWays(t *testing.T, db *Database, q *cq.Query) {
 	if err != nil {
 		t.Fatalf("Evaluate(%s): %v", q, err)
 	}
-	got, _, err := db.EvaluateStream(q, StreamOptions{})
+	got, _, err := db.EvaluateStream(q)
 	if err != nil {
 		t.Fatalf("EvaluateStream(%s): %v", q, err)
 	}
 	if !relIdentical(want, got) {
 		t.Fatalf("streaming result differs for %s:\nmaterialized %v\nstreaming    %v", q, want.SortedRows(), got.SortedRows())
 	}
-	sym, _, err := db.EvaluateStream(q, StreamOptions{Symmetric: true})
-	if err != nil {
-		t.Fatalf("EvaluateStream(%s, symmetric): %v", q, err)
-	}
-	if !relIdentical(want, sym) {
-		t.Fatalf("symmetric streaming result differs for %s:\nmaterialized %v\nsymmetric    %v", q, want.SortedRows(), sym.SortedRows())
-	}
 }
 
-// Streaming evaluation — plain and symmetric — is byte-identical to the
-// materialized path on random databases and queries (duplicate atoms,
-// repeated variables, constants, partial heads).
+// Streaming evaluation is byte-identical to the materialized path on
+// random databases and queries (duplicate atoms, repeated variables,
+// constants, partial heads).
 func TestQuickEvaluateStreamMatchesEvaluate(t *testing.T) {
 	f := func(seed int64) bool {
 		db, q := randomDBAndQuery(absSeed(seed))
@@ -54,15 +48,8 @@ func TestQuickEvaluateStreamMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _, err := db.EvaluateStream(q, StreamOptions{})
-		if err != nil || !relIdentical(want, got) {
-			return false
-		}
-		sym, _, err := db.EvaluateStream(q, StreamOptions{Symmetric: true})
-		if err != nil || !relIdentical(want, sym) {
-			return false
-		}
-		return true
+		got, _, err := db.EvaluateStream(q)
+		return err == nil && relIdentical(want, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -84,25 +71,28 @@ func TestEvaluateStreamDirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, src := range []string{
-		"q(A, E) :- e(A, B, C, D), f(A, B, C, E)",    // wide (3-col) join key
-		"q(A, B) :- e(A, B, C, D), f(A, B, C2, E)",   // 2-col key, new cols both sides
-		"q(X) :- g(X), h(X, X)",                       // repeated var on right
-		"q(X, Y) :- g(X), h(Y, Y)",                    // cross product first join
-		"q(X) :- h(X, b)",                             // constant in scan
-		"q(X) :- g(X), h(X, zzz)",                     // never-interned constant
-		"q(X, k) :- g(X), h(X, X)",                    // head constant
-		"q(X) :- g(X), ghost(X)",                      // unknown predicate
-		"q(N, W) :- num(N, W), num(N2, W2), N < N2",   // comparisons
-		"q(W) :- num(N, W), N >= 2",                   // comparison vs constant
-		"q(A, D) :- e(A, B, C, D), e(B, C2, C3, D)",   // self join
-		"q(A) :- e(A, B, C, D), f(A, B2, C2, E), g(A)",// 3-step chain
+		"q(A, E) :- e(A, B, C, D), f(A, B, C, E)",      // wide (3-col) join key
+		"q(A, B) :- e(A, B, C, D), f(A, B, C2, E)",     // 2-col key, new cols both sides
+		"q(X) :- g(X), h(X, X)",                        // repeated var on right
+		"q(X, Y) :- g(X), h(Y, Y)",                     // cross product first join
+		"q(X) :- h(X, b)",                              // constant in scan
+		"q(X) :- g(X), h(X, zzz)",                      // never-interned constant
+		"q(X, k) :- g(X), h(X, X)",                     // head constant
+		"q(X) :- g(X), ghost(X)",                       // unknown predicate
+		"q(N, W) :- num(N, W), num(N2, W2), N < N2",    // comparisons
+		"q(W) :- num(N, W), N >= 2",                    // comparison vs constant
+		"q(A, D) :- e(A, B, C, D), e(B, C2, C3, D)",    // self join
+		"q(A) :- e(A, B, C, D), f(A, B2, C2, E), g(A)", // 3-step chain
 	} {
 		evalBothWays(t, db, cq.MustParseQuery(src))
 	}
 }
 
 // A projected pipeline (the M3 supplementary-relation drops) drains to
-// the same relation as the materialized JoinStep chain with retains.
+// the same relation as the materialized JoinStep chain with retains,
+// and — because the projection dedups — hands every join exactly the
+// rows the materialized chain did: same probe count, nothing left for
+// the root drain to collapse.
 func TestStreamPipelineRetainsMatchJoinSteps(t *testing.T) {
 	db := NewDatabase()
 	if err := db.LoadFacts(`
@@ -118,6 +108,8 @@ func TestStreamPipelineRetainsMatchJoinSteps(t *testing.T) {
 		{"X", "Z"},
 		{"X", "Z"},
 	}
+	tr := obs.New()
+	db.SetTracer(tr)
 	cur := UnitVarRelation()
 	for k, idx := range order {
 		next, err := db.JoinStep(cur, q.Body[idx], retains[k])
@@ -126,180 +118,109 @@ func TestStreamPipelineRetainsMatchJoinSteps(t *testing.T) {
 		}
 		cur = next
 	}
-	for _, symmetric := range []bool{false, true} {
-		it, err := db.BuildJoinPipeline(q.Body, order, retains, symmetric)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats := db.DrainStream("ir", len(cur.Schema), it, false)
-		if got.Size() != cur.Size() {
-			t.Fatalf("symmetric=%v: drained %d rows, materialized %d", symmetric, got.Size(), cur.Size())
-		}
-		for i := 0; i < cur.n; i++ {
-			crow, grow := cur.irow(i), got.irow(i)
-			for j := range crow {
-				if crow[j] != grow[j] {
-					t.Fatalf("symmetric=%v: row %d differs: %v vs %v", symmetric, i, grow, crow)
-				}
-			}
-		}
-		if stats.Rows != got.Size() {
-			t.Fatalf("stats.Rows = %d, want %d", stats.Rows, got.Size())
-		}
-		if stats.RawRows < int64(got.Size()) {
-			t.Fatalf("RawRows %d < result rows %d", stats.RawRows, got.Size())
-		}
-	}
-}
-
-// Multiple readers over one BufferedStream observe the identical row
-// sequence regardless of interleaving, and the source is evaluated
-// only once.
-func TestBufferedStreamReaders(t *testing.T) {
-	db := NewDatabase()
-	if err := db.LoadFacts("e(a, b). e(b, c). e(c, d). f(b, x). f(c, y). f(d, z)."); err != nil {
-		t.Fatal(err)
-	}
-	body := cq.MustParseQuery("q(X, Z) :- e(X, Y), f(Y, Z)").Body
-	it, err := db.BuildJoinPipeline(body, []int{0, 1}, nil, false)
+	probed := tr.Counter(obs.CtrJoinProbeRows)
+	it, err := db.BuildJoinPipeline(q.Body, order, retains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := NewBufferedStream(it)
-	if err != nil {
-		t.Fatal(err)
+	got, stats := db.DrainStream("ir", len(cur.Schema), it, false)
+	if got.Size() != cur.Size() {
+		t.Fatalf("drained %d rows, materialized %d", got.Size(), cur.Size())
 	}
-	defer bs.Close()
-	r1, r2 := bs.Reader(), bs.Reader()
-	var rows1, rows2 [][]uint32
-	// Interleave: r1 pulls two, then r2 catches up and overtakes.
-	for i := 0; i < 2; i++ {
-		row, ok := r1.Next()
-		if !ok {
-			break
-		}
-		rows1 = append(rows1, append([]uint32(nil), row...))
-	}
-	for {
-		row, ok := r2.Next()
-		if !ok {
-			break
-		}
-		rows2 = append(rows2, append([]uint32(nil), row...))
-	}
-	for {
-		row, ok := r1.Next()
-		if !ok {
-			break
-		}
-		rows1 = append(rows1, append([]uint32(nil), row...))
-	}
-	if len(rows1) != len(rows2) {
-		t.Fatalf("readers saw %d vs %d rows", len(rows1), len(rows2))
-	}
-	for i := range rows1 {
-		for j := range rows1[i] {
-			if rows1[i][j] != rows2[i][j] {
-				t.Fatalf("row %d differs between readers: %v vs %v", i, rows1[i], rows2[i])
+	for i := 0; i < cur.n; i++ {
+		crow, grow := cur.irow(i), got.irow(i)
+		for j := range crow {
+			if crow[j] != grow[j] {
+				t.Fatalf("row %d differs: %v vs %v", i, grow, crow)
 			}
 		}
 	}
-	if bs.Size() != len(rows1) {
-		t.Fatalf("buffered %d rows, readers saw %d", bs.Size(), len(rows1))
+	if stats.Rows != got.Size() || stats.RawRows != int64(got.Size()) {
+		t.Fatalf("stats = %+v for %d distinct rows: the projections forwarded duplicates", stats, got.Size())
+	}
+	// {X,Z} after step 1 drops Y: its dedup set is execution-owned state.
+	if stats.PeakResidentRows <= int64(got.Size()) {
+		t.Fatalf("PeakResidentRows = %d does not count the projection dedup set (result %d rows)",
+			stats.PeakResidentRows, got.Size())
+	}
+	if streamed := tr.Counter(obs.CtrJoinProbeRows) - probed; streamed > probed {
+		t.Fatalf("pipeline probed %d index rows, the JoinStep chain %d", streamed, probed)
 	}
 }
 
-// A symmetric join refuses an unordered input, and a BufferedStream
-// refuses a rank-carrying source.
-func TestSymmetricJoinRejectsUnorderedInput(t *testing.T) {
-	db := NewDatabase()
-	if err := db.LoadFacts("e(a, b). f(b, c). g(c, d)."); err != nil {
-		t.Fatal(err)
-	}
-	body := cq.MustParseQuery("q(X, W) :- e(X, Y), f(Y, Z), g(Z, W)").Body
-	it, err := db.BuildJoinPipeline(body[:2], []int{0, 1}, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.StreamSymmetricJoin(it, body[2]); err == nil {
-		t.Fatal("symmetric join accepted a symmetric (unordered) input")
-	}
-	it2, err := db.BuildJoinPipeline(body[:2], []int{0, 1}, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewBufferedStream(it2); err == nil {
-		t.Fatal("BufferedStream accepted a rank-carrying source")
-	}
+// closeCounter is a leaf whose Close calls are counted.
+type closeCounter struct {
+	schema Schema
+	closes int
 }
 
-// The IR cache hands streams to later consumers (with lazy permutation)
-// and invalidates them when the database mutates.
-func TestIRCacheStreams(t *testing.T) {
+func (c *closeCounter) Schema() Schema         { return c.schema }
+func (c *closeCounter) Next() ([]uint32, bool) { return nil, false }
+func (c *closeCounter) Close()                 { c.closes++ }
+
+// A pipeline whose construction fails midway closes every operator
+// already built, exactly once: each constructor closes its input on
+// error, so nothing is left holding a pooled frame.
+func TestPipelineConstructionFailureClosesOperators(t *testing.T) {
 	db := NewDatabase()
-	if err := db.LoadFacts("e(a, b). e(b, c). f(b, x). f(c, y)."); err != nil {
+	if err := db.LoadFacts("e(a, b). e(b, c). f(b, x). f(c, y). g(x, k). g(y, l)."); err != nil {
 		t.Fatal(err)
 	}
-	db.SetIRCache(NewIRCache())
-	body := cq.MustParseQuery("q(X, Z) :- e(X, Y), f(Y, Z)").Body
-	it, err := db.BuildJoinPipeline(body, []int{0, 1}, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := NewBufferedStream(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.StreamStore("k", bs) {
-		t.Fatal("StreamStore refused with a cache attached")
-	}
-	want := [][]uint32{}
-	r0 := bs.Reader()
-	for {
-		row, ok := r0.Next()
-		if !ok {
-			break
+	db.SetStrictPredicates(true)
+	q := cq.MustParseQuery("q(X, W) :- e(X, Y), f(Y, Z), g(Z, W)")
+	bad := cq.Var("Nope")
+
+	// Each constructor, failing over a counted leaf.
+	for name, build := range map[string]func(in RowIterator) (RowIterator, error){
+		"join": func(in RowIterator) (RowIterator, error) {
+			return db.StreamJoin(in, cq.MustParseQuery("q(X) :- ghost(X)").Body[0])
+		},
+		"project": func(in RowIterator) (RowIterator, error) { return StreamProject(in, []cq.Var{"X", bad}) },
+		"filter": func(in RowIterator) (RowIterator, error) {
+			return db.StreamFilter(in, []cq.Comparison{{Left: bad, Op: cq.OpLT, Right: cq.Var("X")}})
+		},
+		"head": func(in RowIterator) (RowIterator, error) {
+			return db.StreamHead(in, cq.Atom{Pred: "q", Args: []cq.Term{bad}})
+		},
+	} {
+		leaf := &closeCounter{schema: Schema{"X", "Y"}}
+		if it, err := build(leaf); err == nil {
+			it.Close()
+			t.Errorf("%s: bad input accepted", name)
+		} else if leaf.closes != 1 {
+			t.Errorf("%s: failed constructor closed its input %d times, want 1", name, leaf.closes)
 		}
-		want = append(want, append([]uint32(nil), row...))
 	}
-	got, ok := db.StreamLookup("k", bs.Schema())
-	if !ok {
-		t.Fatal("StreamLookup missed a stored stream")
-	}
-	n := 0
-	for {
-		row, rok := got.Next()
-		if !rok {
-			break
+
+	// Whole pipelines: every join built before the failure reports its
+	// Close through the stream_joins counter, once.
+	joinsClosed := func(run func() error) int64 {
+		tr := obs.New()
+		db.SetTracer(tr)
+		defer db.SetTracer(nil)
+		if err := run(); err == nil {
+			t.Fatal("bad pipeline accepted")
 		}
-		for j := range row {
-			if row[j] != want[n][j] {
-				t.Fatalf("replayed row %d differs: %v vs %v", n, row, want[n])
-			}
-		}
-		n++
+		return tr.Counter(obs.CtrStreamJoins)
 	}
-	if n != len(want) {
-		t.Fatalf("replayed %d rows, want %d", n, len(want))
+	if n := joinsClosed(func() error {
+		_, err := db.BuildJoinPipeline(q.Body, []int{0, 1, 2}, [][]cq.Var{nil, nil, {"X", bad}})
+		return err
+	}); n != 2 {
+		t.Errorf("bad retains at step 2: %d joins closed, want 2", n)
 	}
-	// Permuted-schema lookup: columns swap lazily.
-	sch := bs.Schema()
-	if len(sch) >= 2 {
-		pit, ok := db.StreamLookup("k", Schema{sch[1], sch[0]})
-		if !ok {
-			t.Fatal("StreamLookup missed under a permuted schema")
-		}
-		row, rok := pit.Next()
-		if !rok || row[0] != want[0][1] || row[1] != want[0][0] {
-			t.Fatalf("permuted lookup row = %v, want swap of %v", row, want[0])
-		}
-		pit.Close()
+	if n := joinsClosed(func() error {
+		_, err := db.BuildJoinPipeline(q.Body, []int{0, 1, 2}, [][]cq.Var{nil, {bad}, nil})
+		return err
+	}); n != 1 {
+		t.Errorf("bad retains at step 1: %d joins closed, want 1", n)
 	}
-	// Mutation invalidates: the stream is gone after an insert.
-	if err := db.Insert("e", Tuple{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := db.StreamLookup("k", bs.Schema()); ok {
-		t.Fatal("StreamLookup returned a stale stream after a database mutation")
+	noHead := q.Clone()
+	noHead.Head.Args[1] = bad
+	if n := joinsClosed(func() error {
+		_, _, err := db.StreamQuery(noHead, []int{0, 1, 2}, nil, false)
+		return err
+	}); n != 2 {
+		t.Errorf("missing head variable: %d joins closed, want 2", n)
 	}
 }

@@ -129,14 +129,11 @@ type SweepConfig struct {
 	// AvgPlanMillis/AvgPlanCost and, with Trace, PlanCounters and
 	// PlanPhaseNanos.
 	CostModel cost.Model
-	// Execute, when non-empty, also executes each chosen plan after a
-	// CostModel run: "materialized" replays the JoinStep chain the cost
-	// simulation measured, "stream" runs the streaming iterator path,
-	// "symmetric" additionally makes the first join a symmetric hash
-	// join. Execution residency then lands in the process histograms
+	// Execute also executes each chosen plan after a CostModel run.
+	// Execution residency then lands in the process histograms
 	// (peak_resident_rows, streamed_rows_per_join), visible through
 	// Registry and benchviews -metrics / -registry.
-	Execute string
+	Execute bool
 	// DataRows and DataDomain size the synthetic data for CostModel runs
 	// (default 100 rows per base relation over 100 distinct values, which
 	// keeps star-join fan-out near 1).
@@ -350,17 +347,7 @@ func planOne(cfg SweepConfig, inst *workload.Instance, qi int) (queryResult, err
 		MaxRewritings: cfg.Options.MaxRewritings,
 		Parallelism:   cfg.Options.Parallelism,
 		Registry:      cfg.Registry,
-	}
-	switch cfg.Execute {
-	case "":
-	case "materialized":
-		req.Execute = true
-	case "stream":
-		req.StreamExec = true
-	case "symmetric":
-		req.StreamExec, req.SymmetricJoins = true, true
-	default:
-		return queryResult{}, fmt.Errorf("experiments: unknown Execute mode %q", cfg.Execute)
+		Execute:       cfg.Execute,
 	}
 	if cfg.Trace {
 		req.Tracer = obs.New()

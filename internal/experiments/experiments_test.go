@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -162,38 +163,52 @@ func TestDefaultViewCounts(t *testing.T) {
 func TestTraceAggregates(t *testing.T) {
 	cfg := smallSweep(workload.Star, 0)
 	cfg.Trace = true
-	pts, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		if p.WithRewriting == 0 {
-			continue
+	// The phase-time check below compares sub-millisecond spans, so one
+	// preemption between two of them breaks it (a few runs in a hundred
+	// on a shared machine). A sweep that misses it is repeated; only an
+	// accounting gap that shows in every attempt fails the test.
+	const attempts = 3
+	for attempt := 1; ; attempt++ {
+		pts, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Counters == nil || p.PhaseNanos == nil {
-			t.Fatalf("trace aggregates missing at %d views: %+v", p.NumViews, p)
-		}
-		for _, ctr := range []string{"view_tuples", "tuple_cores", "cover_nodes", "hom_searches", "rewritings"} {
-			if p.Counters[ctr] <= 0 {
-				t.Errorf("counter %s = %d at %d views", ctr, p.Counters[ctr], p.NumViews)
+		gap := ""
+		for _, p := range pts {
+			if p.WithRewriting == 0 {
+				continue
+			}
+			if p.Counters == nil || p.PhaseNanos == nil {
+				t.Fatalf("trace aggregates missing at %d views: %+v", p.NumViews, p)
+			}
+			for _, ctr := range []string{"view_tuples", "tuple_cores", "cover_nodes", "hom_searches", "rewritings"} {
+				if p.Counters[ctr] <= 0 {
+					t.Fatalf("counter %s = %d at %d views", ctr, p.Counters[ctr], p.NumViews)
+				}
+			}
+			total := p.PhaseNanos["corecover"]
+			if total <= 0 {
+				t.Fatalf("corecover phase time missing at %d views", p.NumViews)
+			}
+			// The sub-phases must account for (nearly) all of the run: their
+			// sum lies within 10% of the root span's total.
+			sum := int64(0)
+			for name, ns := range p.PhaseNanos {
+				switch name {
+				case "minimize", "view-grouping", "view-tuples", "tuple-cores", "cover-search", "assemble":
+					sum += ns
+				}
+			}
+			if ratio := float64(sum) / float64(total); ratio < 0.9 || ratio > 1.1 {
+				gap = fmt.Sprintf("sub-phase sum %.0fns is %.0f%% of total %.0fns at %d views",
+					float64(sum), 100*ratio, float64(total), p.NumViews)
 			}
 		}
-		total := p.PhaseNanos["corecover"]
-		if total <= 0 {
-			t.Fatalf("corecover phase time missing at %d views", p.NumViews)
+		if gap == "" {
+			return
 		}
-		// The sub-phases must account for (nearly) all of the run: their
-		// sum lies within 10% of the root span's total.
-		sum := int64(0)
-		for name, ns := range p.PhaseNanos {
-			switch name {
-			case "minimize", "view-grouping", "view-tuples", "tuple-cores", "cover-search", "assemble":
-				sum += ns
-			}
-		}
-		if ratio := float64(sum) / float64(total); ratio < 0.9 || ratio > 1.1 {
-			t.Errorf("sub-phase sum %.0fns is %.0f%% of total %.0fns at %d views",
-				float64(sum), 100*ratio, float64(total), p.NumViews)
+		if attempt == attempts {
+			t.Fatalf("%s (in each of %d sweeps)", gap, attempts)
 		}
 	}
 }

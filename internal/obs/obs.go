@@ -82,9 +82,11 @@ const (
 	CtrHomSearches
 	// CtrHomsFound counts homomorphisms found (yielded).
 	CtrHomsFound
-	// CtrJoinSteps counts engine join steps executed.
+	// CtrJoinSteps counts engine join steps executed: the cost
+	// simulation's JoinSteps and the executor's streaming joins.
 	CtrJoinSteps
-	// CtrJoinRows counts rows in intermediate join results.
+	// CtrJoinRows counts rows in intermediate join results (for a
+	// streaming join, the rows it emitted).
 	CtrJoinRows
 	// CtrOptStates counts optimizer search states expanded (M2 lattice
 	// nodes popped).
@@ -149,8 +151,8 @@ const (
 	// CtrBatchedProbes counts view-tuple homomorphism probes evaluated
 	// through a pooled batch frame instead of a per-view kernel setup.
 	CtrBatchedProbes
-	// CtrStreamJoins counts streaming join operators (probe or symmetric)
-	// drained to exhaustion by the iterator execution path.
+	// CtrStreamJoins counts streaming join operators closed by the
+	// iterator execution path.
 	CtrStreamJoins
 	// CtrStreamedRows counts rows emitted by streaming join operators —
 	// rows that flowed through the pipeline without being materialized

@@ -32,9 +32,8 @@ const (
 	// (process-wide; see Process).
 	HistJoinRows = "join_rows_per_step"
 	// HistPeakResident is the peak number of execution-owned resident
-	// rows per drain: materialized execution observes the largest
-	// adjacent intermediate pair, streaming execution the operator-held
-	// rows plus the result (process-wide; see Process).
+	// rows per drain: the operator-held rows (projection dedup sets)
+	// plus the result (process-wide; see Process).
 	HistPeakResident = "peak_resident_rows"
 	// HistStreamedRows is the per-operator emission count of each
 	// streaming join drained by the iterator execution path

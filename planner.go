@@ -52,18 +52,9 @@ type PlanRequest struct {
 	// generator's Results across requests under the query's exact
 	// canonical key and the catalog generation. See Options.Cache.
 	Cache *PlanCache
-	// Execute also runs the chosen plan (M2/M3 only) and fills
-	// PlanResult.Answer and PlanResult.ExecStats, by default through the
-	// materialized JoinStep replay the cost simulation measured.
+	// Execute also runs the chosen plan (M2/M3 only) through ExecutePlan
+	// and fills PlanResult.Answer and PlanResult.ExecStats.
 	Execute bool
-	// StreamExec executes the chosen plan through the streaming iterator
-	// path instead (implies Execute): lazy scan/join/project operators
-	// drained at the plan root, byte-identical to the materialized
-	// replay but without materializing intermediate relations.
-	StreamExec bool
-	// SymmetricJoins makes a streaming execution run its first join as a
-	// symmetric hash join. Only meaningful with StreamExec.
-	SymmetricJoins bool
 }
 
 // PlanResult is the planner's answer: the chosen rewriting with its
@@ -85,8 +76,8 @@ type PlanResult struct {
 	// PlanRequest.Tracer was set; nil otherwise.
 	Stats *PlanningStats
 	// Answer is the executed plan's result relation when
-	// PlanRequest.Execute or StreamExec was set (nil under M1, which has
-	// no physical plan to run).
+	// PlanRequest.Execute was set (nil under M1, which has no physical
+	// plan to run).
 	Answer *Relation
 	// ExecStats reports the execution's row counts and peak resident
 	// rows when the plan was executed.
@@ -219,11 +210,8 @@ func PlanQuery(db *Database, q *Query, vs *ViewSet, req PlanRequest) (*PlanResul
 	}
 	// Execution rides inside the tracer/registry window so its counters
 	// and histograms land in the same snapshot as the planning run.
-	if req.Execute || req.StreamExec {
-		answer, stats, err := cost.ExecutePlan(db, best.Plan, cost.ExecOptions{
-			StreamExec:     req.StreamExec,
-			SymmetricJoins: req.SymmetricJoins,
-		})
+	if req.Execute {
+		answer, stats, err := cost.ExecutePlan(db, best.Plan, cost.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}

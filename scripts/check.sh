@@ -8,8 +8,11 @@
 # TestRegistryConcurrentPlanQuery merge test — the hom cache, the
 # parallel fanout, and the resident ViewCatalog + plan cache hammered by
 # the service soak are the only shared mutable state on the hot path, so
-# these are the packages where a data race would hide), and finish with
-# a short fuzz smoke of the cq parser.
+# these are the packages where a data race would hide), run the
+# benchmark module's own tests (bench/ is a separate module that
+# compiles against a frozen import surface of this one — see
+# bench/README.md — so the root `go test ./...` cannot see a change
+# break it), and finish with a short fuzz smoke of the cq parser.
 #
 # The lint binary is built once into bin/ (go's build cache makes the
 # rebuild a no-op when nothing changed), keeping the whole gate fast.
@@ -38,8 +41,8 @@ go build -o bin/viewplanlint ./cmd/viewplanlint
 echo "== go test -race ./internal/obs/... ./internal/corecover/... ./internal/views/... ./internal/service/... (VIEWPLAN_PARALLEL=8)"
 VIEWPLAN_PARALLEL=8 go test -race ./internal/obs/... ./internal/corecover/... ./internal/views/... ./internal/service/...
 
-echo "== exec gate: streaming vs materialized plan execution (scripts/bench_exec.sh)"
-./scripts/bench_exec.sh
+echo "== benchmark module: (cd bench && go test ./...)"
+(cd bench && go test ./...)
 
 echo "== fuzz smoke: cq parser round-trips (10s each)"
 go test -run='^$' -fuzz=FuzzParseQuery -fuzztime=10s ./internal/cq

@@ -148,9 +148,8 @@ type (
 	DropStrategy = cost.DropStrategy
 	// FilterResult reports the Section 5.1 filter-selection outcome.
 	FilterResult = cost.FilterResult
-	// ExecOptions selects how ExecutePlan runs a plan: the default
-	// materialized JoinStep replay, or the streaming iterator path
-	// (StreamExec), optionally with a symmetric hash first join.
+	// ExecOptions is ExecutePlan's option set. It has no fields: there
+	// is one executor and nothing to select.
 	ExecOptions = cost.ExecOptions
 	// ExecStats reports one plan execution's row counts and peak
 	// resident rows.
@@ -323,10 +322,10 @@ func BestPlanM3(db *Database, p *Query, strategy DropStrategy, q *Query, vs *Vie
 }
 
 // ExecutePlan runs an optimizer-chosen plan over db and returns the
-// answer relation. All strategies — materialized replay, streaming
-// iterators, symmetric hash joins — produce the byte-identical
-// relation; StreamExec trades the materialized path's intermediate
-// relations for constant per-operator state (see ExecOptions).
+// answer relation: a pipeline of lazy scan, probe-join, projection,
+// filter and head operators drained at the root, so no intermediate
+// relation is materialized. The answer is byte-identical to replaying
+// the plan's JoinStep chain (the relation the cost model measured).
 func ExecutePlan(db *Database, p *Plan, opts ExecOptions) (*Relation, ExecStats, error) {
 	return cost.ExecutePlan(db, p, opts)
 }
