@@ -7,13 +7,8 @@
 # serve-bench` gates the resident service: the warm-request allocation
 # gate (scripts/bench_service.sh) plus the QPS harness, which writes
 # BENCH_service.json and fails unless warm p50/p99 beat the cold p50 by
-# 5x; `make scale-bench` gates the sharded scale pipeline: the
-# 1000-view sharded allocation gate (scripts/bench_scale.sh against
-# scripts/bench_scale_baseline.txt) plus the cmd/benchscale sweep,
-# which writes BENCH_scale.json and fails unless the sharded planner
-# beats the legacy one by 2x at 5k+ views; `make trace` exports a
-# sample Perfetto trace of a Fig. 6a run and validates the trace-event
-# JSON with tracecheck.
+# 5x; `make trace` exports a sample Perfetto trace of a Fig. 6a run and
+# validates the trace-event JSON with tracecheck.
 
 GO ?= go
 
@@ -22,7 +17,7 @@ GO ?= go
 # lint` never runs a stale binary against a new rule set.
 LINT_SRC := $(shell find cmd/viewplanlint internal/lint -name '*.go' -not -path '*/testdata/*')
 
-.PHONY: build test check lint bench benchall serve-bench scale-bench vet trace
+.PHONY: build test check lint bench benchall serve-bench vet trace
 
 build:
 	$(GO) build ./...
@@ -51,10 +46,6 @@ benchall:
 serve-bench:
 	./scripts/bench_service.sh
 	$(GO) run ./cmd/servebench
-
-scale-bench:
-	./scripts/bench_scale.sh
-	$(GO) run ./cmd/benchscale
 
 # A small Fig. 6a sweep with span capture on: writes bin/trace_fig6a.json
 # and verifies it is well-formed trace-event JSON (then open the file at

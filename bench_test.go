@@ -400,7 +400,7 @@ func BenchmarkFig6aStarM2(b *testing.B) {
 // The planning-only benchmark the `make bench` gate watches alongside
 // the M2 engine benchmark: CoreCover rewriting generation on the
 // Figure 6(a) star workload at 200 views, engine evaluation excluded.
-// Sequential (Parallelism 1), so allocs/op is deterministic and the
+// Allocs/op is deterministic (a run is one sequential pass) and the
 // whole run exercises the interned planning kernel: canonical-DB
 // homomorphism search, tuple-cores, and the bitset cover search.
 func BenchmarkFig6aStarPlanning(b *testing.B) {
@@ -410,7 +410,7 @@ func BenchmarkFig6aStarPlanning(b *testing.B) {
 		NumViews:      200,
 		Seed:          42,
 	})
-	opts := corecover.Options{Parallelism: 1}
+	opts := corecover.Options{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := corecover.CoreCover(inst.Query, inst.Views, opts)
@@ -437,12 +437,12 @@ func BenchmarkWarmPlanRequest(b *testing.B) {
 		NumViews:      200,
 		Seed:          42,
 	})
-	cat, err := viewplan.CompileViews(inst.Views, viewplan.Options{Parallelism: 1})
+	cat, err := viewplan.CompileViews(inst.Views, viewplan.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cache := viewplan.NewPlanCache(16)
-	opts := viewplan.Options{Parallelism: 1, Catalog: cat, Cache: cache}
+	opts := viewplan.Options{Catalog: cat, Cache: cache}
 	if _, err := viewplan.FindGMRsWith(inst.Query, nil, opts); err != nil {
 		b.Fatal(err)
 	}
@@ -568,38 +568,6 @@ func BenchmarkEngineEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Evaluate(q); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// The scale pipeline's gated point: planning an 8-subgoal star query
-// against a resident 1000-view catalog through the sharded cover search
-// (candidate prefilter, batched probes, component-decomposed
-// enumeration). scripts/bench_scale.sh gates allocs/op here against
-// scripts/bench_scale_baseline.txt; cmd/benchscale sweeps the full
-// 1k/5k/20k × shards × parallelism grid into BENCH_scale.json.
-func BenchmarkScalePlanning1kSharded(b *testing.B) {
-	inst, err := workload.ScaleCatalog(1000, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cat, err := viewplan.CompileViews(inst.Views, viewplan.Options{Parallelism: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := viewplan.Options{Parallelism: 1, CoverShards: 1, MaxRewritings: 8, Catalog: cat}
-	if _, err := viewplan.FindGMRsWith(inst.Query, nil, opts); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := viewplan.FindGMRsWith(inst.Query, nil, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rewritings) == 0 {
-			b.Fatal("no rewriting")
 		}
 	}
 }

@@ -10,15 +10,12 @@
 //	benchviews -fig all             # every figure (paper scale; minutes)
 //	benchviews -fig 8b -queries 10 -views 100,300,500
 //	benchviews -fig 6a -nogroup     # ablation: grouping disabled
-//	benchviews -fig 6a -parallel 0  # planner fanout across all cores
 //	benchviews -fig 6a -jobs 8      # sweep 8 queries concurrently
 //	benchviews -fig 6a -registry localhost:8080   # live telemetry: GET /metrics
 //	benchviews -fig 6a -traceout trace.json       # Perfetto trace of one run
 //
-// -parallel bounds the worker pool inside each CoreCover run (0 =
-// GOMAXPROCS) and therefore changes the per-query times the figures
-// report; -jobs overlaps whole queries to finish the sweep faster
-// without touching per-query times.
+// -jobs overlaps whole queries to finish the sweep faster; each query
+// is still planned sequentially, as the paper does.
 //
 // Output is an aligned text table per figure, suitable for plotting.
 package main
@@ -42,20 +39,19 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 6a, 6b, 7a, 7b, 8a, 8b, 9a, 9b, or all")
-		queries = flag.Int("queries", 0, "queries per point (default: the paper's 40)")
-		viewsFl = flag.String("views", "", "comma-separated view counts (default: 100..1000 step 100)")
-		seed    = flag.Int64("seed", 1, "base random seed")
-		nogroup = flag.Bool("nogroup", false, "ablation: disable view and view-tuple equivalence-class grouping")
-		subg    = flag.Int("subgoals", 0, "query subgoals (default: the paper's 8)")
-		par     = flag.Int("parallel", 1, "planner worker-pool bound inside each CoreCover run: 1 = sequential (the paper's protocol), 0 = GOMAXPROCS; results are identical for every setting")
-		jobs    = flag.Int("jobs", 1, "queries run concurrently per point (1 = sequential); speeds the sweep up without touching per-query times")
-		metrics = flag.String("metrics", "", "write per-run planner metrics (counters, phase times) as JSON to this file")
-		costFl  = flag.String("cost", "", "additionally time M2 or M3 planning per query over materialized views (engine counters then appear in -metrics)")
-		execFl  = flag.Bool("exec", false, "also execute each chosen plan (needs -cost); peak_resident_rows and streamed_rows_per_join then appear in -metrics and -registry")
-		capFl   = flag.Int("cap", 0, "cap the rewritings considered per query (0 = all; keeps -cost sweeps bounded)")
-		rows    = flag.Int("rows", 0, "synthetic rows per base relation for -cost runs (default 100)")
-		domain  = flag.Int("domain", 0, "distinct values per column domain for -cost runs (default 100)")
+		fig      = flag.String("fig", "all", "figure to regenerate: 6a, 6b, 7a, 7b, 8a, 8b, 9a, 9b, or all")
+		queries  = flag.Int("queries", 0, "queries per point (default: the paper's 40)")
+		viewsFl  = flag.String("views", "", "comma-separated view counts (default: 100..1000 step 100)")
+		seed     = flag.Int64("seed", 1, "base random seed")
+		nogroup  = flag.Bool("nogroup", false, "ablation: disable view and view-tuple equivalence-class grouping")
+		subg     = flag.Int("subgoals", 0, "query subgoals (default: the paper's 8)")
+		jobs     = flag.Int("jobs", 1, "queries run concurrently per point (1 = sequential); speeds the sweep up without touching per-query times")
+		metrics  = flag.String("metrics", "", "write per-run planner metrics (counters, phase times) as JSON to this file")
+		costFl   = flag.String("cost", "", "additionally time M2 or M3 planning per query over materialized views (engine counters then appear in -metrics)")
+		execFl   = flag.Bool("exec", false, "also execute each chosen plan (needs -cost); peak_resident_rows and streamed_rows_per_join then appear in -metrics and -registry")
+		capFl    = flag.Int("cap", 0, "cap the rewritings considered per query (0 = all; keeps -cost sweeps bounded)")
+		rows     = flag.Int("rows", 0, "synthetic rows per base relation for -cost runs (default 100)")
+		domain   = flag.Int("domain", 0, "distinct values per column domain for -cost runs (default 100)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (post-sweep, after GC) to this file")
 		registry = flag.String("registry", "", "serve live sweep telemetry (counters, phase times, latency histograms) as JSON on this address, e.g. localhost:8080; GET /metrics")
@@ -74,7 +70,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if err := run(*fig, *queries, *viewsFl, *seed, *nogroup, *subg, *par, *jobs, *metrics, *costFl, *execFl, *rows, *domain, *capFl, *registry, *traceOut); err != nil {
+	if err := run(*fig, *queries, *viewsFl, *seed, *nogroup, *subg, *jobs, *metrics, *costFl, *execFl, *rows, *domain, *capFl, *registry, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "benchviews:", err)
 		os.Exit(1)
 	}
@@ -93,7 +89,7 @@ func main() {
 	}
 }
 
-func run(fig string, queries int, viewsFl string, seed int64, nogroup bool, subgoals, parallel, jobs int, metricsFile, costFl string, exec bool, rows, domain, cap int, registryAddr, traceOut string) error {
+func run(fig string, queries int, viewsFl string, seed int64, nogroup bool, subgoals, jobs int, metricsFile, costFl string, exec bool, rows, domain, cap int, registryAddr, traceOut string) error {
 	var costModel cost.Model
 	switch strings.ToLower(costFl) {
 	case "":
@@ -179,9 +175,6 @@ func run(fig string, queries int, viewsFl string, seed int64, nogroup bool, subg
 			cfg.Options = corecover.Options{DisableViewGrouping: true, DisableTupleGrouping: true}
 		}
 		cfg.Options.MaxRewritings = cap
-		// The planner fanout bound is measured per query, so it composes
-		// with -jobs (which only overlaps whole queries).
-		cfg.Options.Parallelism = parallel
 		cfg.Registry = reg
 		if traceCfg == nil {
 			c := cfg

@@ -13,7 +13,7 @@
 // Usage:
 //
 //	corecover [-star] [-algo corecover|minicon|bucket|naive] [-verbose]
-//	          [-trace] [-traceout trace.json] [-explain] [-parallel N]
+//	          [-trace] [-traceout trace.json] [-explain]
 //	          [-data facts.dl] [-model M1|M2|M3] file.dl
 //
 // With -data, the base facts are loaded, views are materialized, and each
@@ -52,7 +52,6 @@ type config struct {
 	data     string // fact file enabling cost-based plans
 	model    string // M1, M2, M3
 	maxRW    int    // rewriting cap (0 = all)
-	parallel int    // planner worker-pool bound (0 = GOMAXPROCS)
 	traceout string // Chrome trace-event output file
 }
 
@@ -66,7 +65,6 @@ func main() {
 	flag.StringVar(&cfg.data, "data", "", "file of ground facts; enables cost-based plan output")
 	flag.StringVar(&cfg.model, "model", "M2", "cost model for -data plans: M1, M2, or M3")
 	flag.IntVar(&cfg.maxRW, "max", 0, "cap the number of rewritings (0 = all)")
-	flag.IntVar(&cfg.parallel, "parallel", 0, "planner worker-pool bound: 0 = GOMAXPROCS, 1 = sequential (output is identical for every setting)")
 	flag.StringVar(&cfg.traceout, "traceout", "", "write the run's phase spans as a Chrome trace-event file (Perfetto-loadable)")
 	flag.Parse()
 	if err := run(os.Stdout, cfg, flag.Args()); err != nil {
@@ -110,7 +108,7 @@ func run(w io.Writer, cfg config, args []string) error {
 	var res *corecover.Result
 	switch cfg.algo {
 	case "corecover":
-		opts := corecover.Options{MaxRewritings: cfg.maxRW, Parallelism: cfg.parallel, Tracer: tracer}
+		opts := corecover.Options{MaxRewritings: cfg.maxRW, Tracer: tracer}
 		if cfg.star {
 			res, err = corecover.CoreCoverStar(q, vs, opts)
 		} else {

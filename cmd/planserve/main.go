@@ -6,7 +6,7 @@
 // Usage:
 //
 //	planserve -views views.dl                 # serve on :8080
-//	planserve -views views.dl -addr :9090 -cache 4096 -parallel 0
+//	planserve -views views.dl -addr :9090 -cache 4096
 //
 // Endpoints:
 //
@@ -33,16 +33,15 @@ func main() {
 		addr    = flag.String("addr", ":8080", "HTTP listen address")
 		viewsFl = flag.String("views", "", "view definitions file (Datalog, one rule per view; required)")
 		cache   = flag.Int("cache", 1024, "plan cache capacity in entries (0 disables caching)")
-		par     = flag.Int("parallel", 0, "per-request planner worker-pool bound (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	flag.Parse()
-	if err := run(*addr, *viewsFl, *cache, *par); err != nil {
+	if err := run(*addr, *viewsFl, *cache); err != nil {
 		fmt.Fprintln(os.Stderr, "planserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, viewsFile string, cache, par int) error {
+func run(addr, viewsFile string, cache int) error {
 	if viewsFile == "" {
 		return fmt.Errorf("-views FILE is required")
 	}
@@ -54,7 +53,7 @@ func run(addr, viewsFile string, cache, par int) error {
 	if err != nil {
 		return err
 	}
-	srv, err := service.New(service.Config{Views: vs, CacheSize: cache, Parallelism: par})
+	srv, err := service.New(service.Config{Views: vs, CacheSize: cache})
 	if err != nil {
 		return err
 	}

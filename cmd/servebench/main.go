@@ -21,7 +21,7 @@
 //
 //	servebench                          # 200 views, 2 clients/core, gate at 5x
 //	servebench -clients 16 -cold 2000 -hot 128 -rounds 100
-//	servebench -views 5000 -shards 4    # scale catalog, sharded planner
+//	servebench -views 5000              # scale catalog
 //	servebench -out BENCH_service.json -min-speedup 5
 package main
 
@@ -51,13 +51,11 @@ func main() {
 		hot      = flag.Int("hot", 64, "distinct queries in the warm hot set")
 		rounds   = flag.Int("rounds", 64, "replays of the hot set per client in the warm sweep")
 		cacheCap = flag.Int("cache", 4096, "plan cache capacity")
-		par      = flag.Int("parallel", 1, "per-request planner worker-pool bound (concurrency comes from clients)")
-		shards   = flag.Int("shards", 0, "planner cover shards (0 = legacy planner; >0 = sharded scale pipeline)")
 		out      = flag.String("out", "BENCH_service.json", "output report path")
 		minSpeed = flag.Float64("min-speedup", 5, "fail unless cold p50 / warm p50 and cold p50 / warm p99 both reach this factor")
 	)
 	flag.Parse()
-	if err := run(*numViews, *subgoals, *clients, *cold, *hot, *rounds, *cacheCap, *par, *shards, *out, *minSpeed); err != nil {
+	if err := run(*numViews, *subgoals, *clients, *cold, *hot, *rounds, *cacheCap, *out, *minSpeed); err != nil {
 		fmt.Fprintln(os.Stderr, "servebench:", err)
 		os.Exit(1)
 	}
@@ -86,8 +84,6 @@ type report struct {
 		HotQueries  int `json:"hot_queries"`
 		Rounds      int `json:"rounds"`
 		CacheCap    int `json:"cache_capacity"`
-		Parallelism int `json:"parallelism"`
-		CoverShards int `json:"cover_shards"`
 		Vocab       int `json:"vocabulary"`
 		Cores       int `json:"cores"`
 	} `json:"config"`
@@ -99,7 +95,7 @@ type report struct {
 	Registry           *obs.RegistrySnapshot `json:"registry"`
 }
 
-func run(numViews, subgoals, clients, cold, hot, rounds, cacheCap, par, shards int, out string, minSpeed float64) error {
+func run(numViews, subgoals, clients, cold, hot, rounds, cacheCap int, out string, minSpeed float64) error {
 	if clients <= 0 {
 		// Two clients per core keeps the service saturated (there is
 		// always a runnable request) without drowning per-request
@@ -122,7 +118,7 @@ func run(numViews, subgoals, clients, cold, hot, rounds, cacheCap, par, shards i
 	if len(queries) < cold+hot {
 		return fmt.Errorf("only %d distinct %d-subgoal queries over %d relations; lower -cold/-hot", len(queries), subgoals, vocab)
 	}
-	srv, err := service.New(service.Config{Views: inst.Views, CacheSize: cacheCap, Parallelism: par, CoverShards: shards})
+	srv, err := service.New(service.Config{Views: inst.Views, CacheSize: cacheCap})
 	if err != nil {
 		return err
 	}
@@ -139,8 +135,6 @@ func run(numViews, subgoals, clients, cold, hot, rounds, cacheCap, par, shards i
 	rep.Config.HotQueries = hot
 	rep.Config.Rounds = rounds
 	rep.Config.CacheCap = cacheCap
-	rep.Config.Parallelism = par
-	rep.Config.CoverShards = shards
 	rep.Config.Vocab = vocab
 	rep.Config.Cores = runtime.NumCPU()
 

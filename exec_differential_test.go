@@ -91,13 +91,12 @@ func probeRowsOf(db *Database, f func()) int64 {
 }
 
 // TestDifferentialStreamingExecution is the full-corpus gate of DESIGN
-// §16: for every instance in the 200-instance corpus, under every
-// planning configuration (sequential and parallel rewriting generation,
-// unsharded and sharded cover search), ExecutePlan's answer for the
-// chosen M2 and M3 plans is byte-identical — same insertion order, not
-// just the same set — to the materialized replay, and probes no more
-// index rows than the replay does (the projection dedup of M3 plans:
-// without it the joins above a projection redo work per duplicate).
+// §16: for every instance in the 200-instance corpus, ExecutePlan's
+// answer for the chosen M2 and M3 plans is byte-identical — same
+// insertion order, not just the same set — to the materialized replay,
+// and probes no more index rows than the replay does (the projection
+// dedup of M3 plans: without it the joins above a projection redo work
+// per duplicate).
 func TestDifferentialStreamingExecution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential harness")
@@ -105,58 +104,47 @@ func TestDifferentialStreamingExecution(t *testing.T) {
 	corpus := execCorpus(t)
 	executed := 0
 	for ci, inst := range corpus {
-		var db *Database
-		for _, par := range []int{1, 8} {
-			for _, shards := range []int{0, 4} {
-				res, err := corecover.CoreCoverStar(inst.Query, inst.Views, corecover.Options{
-					MaxRewritings: 3,
-					Parallelism:   par,
-					CoverShards:   shards,
-				})
+		res, err := corecover.CoreCoverStar(inst.Query, inst.Views, corecover.Options{MaxRewritings: 3})
+		if err != nil {
+			t.Fatalf("instance %d: %v", ci, err)
+		}
+		if len(res.Rewritings) == 0 {
+			continue
+		}
+		db := NewDatabase()
+		gen := engine.NewDataGen(int64(1000+ci), 6)
+		gen.FillForQuery(db, inst.Query, 12)
+		if err := db.MaterializeViews(inst.Views); err != nil {
+			t.Fatalf("instance %d: %v", ci, err)
+		}
+		for pi, p := range res.Rewritings {
+			if len(p.Body) > 4 {
+				continue
+			}
+			m2, err := cost.BestPlanM2(db, p)
+			if err != nil {
+				t.Fatalf("instance %d: BestPlanM2: %v", ci, err)
+			}
+			m3, err := cost.BestPlanM3(db, p, RenamingHeuristic, inst.Query, inst.Views)
+			if err != nil {
+				t.Fatalf("instance %d: BestPlanM3: %v", ci, err)
+			}
+			for _, plan := range []*Plan{m2, m3} {
+				var want, got *Relation
+				wantProbes := probeRowsOf(db, func() { want, err = replayMaterialized(db, plan) })
 				if err != nil {
-					t.Fatalf("instance %d: %v", ci, err)
+					t.Fatalf("instance %d rewriting %d %s: replay: %v", ci, pi, plan.Model, err)
 				}
-				if len(res.Rewritings) == 0 {
-					continue
+				gotProbes := probeRowsOf(db, func() { got, _, err = ExecutePlan(db, plan, ExecOptions{}) })
+				if err != nil {
+					t.Fatalf("instance %d rewriting %d %s: ExecutePlan: %v", ci, pi, plan.Model, err)
 				}
-				if db == nil {
-					db = NewDatabase()
-					gen := engine.NewDataGen(int64(1000+ci), 6)
-					gen.FillForQuery(db, inst.Query, 12)
-					if err := db.MaterializeViews(inst.Views); err != nil {
-						t.Fatalf("instance %d: %v", ci, err)
-					}
+				tuplesIdentical(t, inst.Query.String(), want, got)
+				if gotProbes > wantProbes {
+					t.Fatalf("instance %d rewriting %d %s: ExecutePlan probed %d index rows, the replay %d\n%v",
+						ci, pi, plan.Model, gotProbes, wantProbes, plan)
 				}
-				for pi, p := range res.Rewritings {
-					if len(p.Body) > 4 {
-						continue
-					}
-					m2, err := cost.BestPlanM2(db, p)
-					if err != nil {
-						t.Fatalf("instance %d: BestPlanM2: %v", ci, err)
-					}
-					m3, err := cost.BestPlanM3(db, p, RenamingHeuristic, inst.Query, inst.Views)
-					if err != nil {
-						t.Fatalf("instance %d: BestPlanM3: %v", ci, err)
-					}
-					for _, plan := range []*Plan{m2, m3} {
-						var want, got *Relation
-						wantProbes := probeRowsOf(db, func() { want, err = replayMaterialized(db, plan) })
-						if err != nil {
-							t.Fatalf("instance %d rewriting %d %s: replay: %v", ci, pi, plan.Model, err)
-						}
-						gotProbes := probeRowsOf(db, func() { got, _, err = ExecutePlan(db, plan, ExecOptions{}) })
-						if err != nil {
-							t.Fatalf("instance %d rewriting %d %s: ExecutePlan: %v", ci, pi, plan.Model, err)
-						}
-						tuplesIdentical(t, inst.Query.String(), want, got)
-						if gotProbes > wantProbes {
-							t.Fatalf("instance %d rewriting %d %s: ExecutePlan probed %d index rows, the replay %d\n%v",
-								ci, pi, plan.Model, gotProbes, wantProbes, plan)
-						}
-						executed++
-					}
-				}
+				executed++
 			}
 		}
 	}

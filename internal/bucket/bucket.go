@@ -31,7 +31,7 @@ func Rewritings(q *cq.Query, vs *views.Set, opts Options) ([]*cq.Query, error) {
 		return nil, err
 	}
 	minQ := containment.Minimize(q)
-	tuples := views.ComputeTuples(minQ, vs)
+	tuples := views.ComputeTuples(minQ, vs, nil)
 	gen := cq.NewFreshGen("_B", minQ.Vars())
 
 	// Build one bucket per query subgoal: view tuples whose expansion has

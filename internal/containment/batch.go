@@ -11,8 +11,7 @@ import (
 // of a 20k-view catalog against the same frozen query, that per-view
 // setup dominates the (mostly failing) searches themselves. A prober
 // claims the frame once, amortizes it across the whole batch, and
-// returns it on Close. One prober serves one goroutine; the parallel
-// tuple fanout gives each worker its own.
+// returns it on Close. One prober serves one goroutine.
 //
 // Every Evaluate still flushes the kernel's telemetry, so hom_searches
 // and the backtrack histogram count probes exactly as the unbatched

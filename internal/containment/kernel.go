@@ -18,8 +18,7 @@ import (
 //
 // A compiled target is immutable after NewHomTarget returns: searches
 // use only the interner's read-only Lookup methods, so one HomTarget may
-// serve concurrent searches (the parallel view-tuple fanout shares the
-// frozen query's target across workers).
+// serve concurrent searches.
 type HomTarget struct {
 	in *cq.Interner
 

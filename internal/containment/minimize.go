@@ -108,8 +108,8 @@ type CanonicalDB struct {
 	FrozenHead cq.Atom
 
 	// target is the Facts compiled for homomorphism search, built
-	// eagerly by FreezeQuery so a CanonicalDB shared across the
-	// parallel view-tuple workers is read-only after construction.
+	// eagerly by FreezeQuery so a CanonicalDB is read-only after
+	// construction.
 	target *HomTarget
 }
 

@@ -1,9 +1,9 @@
 // Cache-differential harness (the PR 7 headline test, sibling of the
-// parallel differential harness): over the 200-instance seeded
-// chain/star corpus, the cold path, the catalog path, and the warm path
-// (a second identical query answered from the plan cache) must produce
-// byte-identical Results at Parallelism 1 and the test fanout — before
-// and after interleaved AddViews/RemoveView invalidations.
+// oracle differential harness): over the 200-instance seeded chain/star
+// corpus, the cold path, the catalog path, and the warm path (a second
+// identical query answered from the plan cache) must produce
+// byte-identical Results — before and after interleaved
+// AddViews/RemoveView invalidations.
 package corecover
 
 import (
@@ -27,7 +27,6 @@ var algorithms = []struct {
 }
 
 func TestCacheDifferentialColdWarmCatalog(t *testing.T) {
-	par := testParallelism(t)
 	for n, inst := range diffCorpus(t) {
 		cat, err := CompileViews(inst.Views, Options{})
 		if err != nil {
@@ -35,26 +34,24 @@ func TestCacheDifferentialColdWarmCatalog(t *testing.T) {
 		}
 		for _, alg := range algorithms {
 			label := fmt.Sprintf("%s #%d %s", alg.name, n, inst.Query)
-			cold, err := alg.run(inst.Query, inst.Views, Options{Parallelism: 1})
+			cold, err := alg.run(inst.Query, inst.Views, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// Catalog path, both parallelism settings, no cache.
-			for _, p := range []int{1, par} {
-				got, err := alg.run(inst.Query, nil, Options{Parallelism: p, Catalog: cat})
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireResultsEqual(t, fmt.Sprintf("%s cold(1) vs catalog(%d)", label, p), cold, got)
+			// Catalog path, no cache.
+			got, err := alg.run(inst.Query, nil, Options{Catalog: cat})
+			if err != nil {
+				t.Fatal(err)
 			}
+			requireResultsEqual(t, label+" cold vs catalog", cold, got)
 
 			// Cache path: the first run misses and must equal cold; the
 			// second identical query hits and must equal cold byte for
-			// byte, at both parallelism settings.
+			// byte.
 			cache := NewPlanCache(16)
 			trMiss := obs.New()
-			miss, err := alg.run(inst.Query, nil, Options{Parallelism: 1, Catalog: cat, Cache: cache, Tracer: trMiss})
+			miss, err := alg.run(inst.Query, nil, Options{Catalog: cat, Cache: cache, Tracer: trMiss})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,18 +59,16 @@ func TestCacheDifferentialColdWarmCatalog(t *testing.T) {
 				t.Fatalf("%s: first cached run: misses=%d hits=%d, want 1/0",
 					label, trMiss.Counter(obs.CtrPlanCacheMiss), trMiss.Counter(obs.CtrPlanCacheHit))
 			}
-			requireResultsEqual(t, label+" cold(1) vs cache-miss(1)", cold, miss)
-			for _, p := range []int{1, par} {
-				trHit := obs.New()
-				warm, err := alg.run(inst.Query, nil, Options{Parallelism: p, Catalog: cat, Cache: cache, Tracer: trHit})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if trHit.Counter(obs.CtrPlanCacheHit) != 1 {
-					t.Fatalf("%s: repeat at parallelism %d did not hit the cache", label, p)
-				}
-				requireResultsEqual(t, fmt.Sprintf("%s cold(1) vs warm(%d)", label, p), cold, warm)
+			requireResultsEqual(t, label+" cold vs cache-miss", cold, miss)
+			trHit := obs.New()
+			warm, err := alg.run(inst.Query, nil, Options{Catalog: cat, Cache: cache, Tracer: trHit})
+			if err != nil {
+				t.Fatal(err)
 			}
+			if trHit.Counter(obs.CtrPlanCacheHit) != 1 {
+				t.Fatalf("%s: repeat did not hit the cache", label)
+			}
+			requireResultsEqual(t, label+" cold vs warm", cold, warm)
 		}
 
 		// Every 10th instance: interleave view mutations. Adding a view
@@ -87,7 +82,7 @@ func TestCacheDifferentialColdWarmCatalog(t *testing.T) {
 		extra := cq.MustParseQuery(fmt.Sprintf("zmut%d(X, Y) :- %s(X, Y)", n, inst.Views.Views[0].Def.Body[0].Pred))
 		cache := NewPlanCache(16)
 		tr0 := obs.New()
-		if _, err := CoreCover(inst.Query, nil, Options{Parallelism: 1, Catalog: cat, Cache: cache, Tracer: tr0}); err != nil {
+		if _, err := CoreCover(inst.Query, nil, Options{Catalog: cat, Cache: cache, Tracer: tr0}); err != nil {
 			t.Fatal(err)
 		}
 		grown, err := cat.AddViews(extra)
@@ -98,12 +93,12 @@ func TestCacheDifferentialColdWarmCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldGrown, err := CoreCover(inst.Query, grownSet, Options{Parallelism: 1})
+		coldGrown, err := CoreCover(inst.Query, grownSet, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr1 := obs.New()
-		gotGrown, err := CoreCover(inst.Query, nil, Options{Parallelism: par, Catalog: grown, Cache: cache, Tracer: tr1})
+		gotGrown, err := CoreCover(inst.Query, nil, Options{Catalog: grown, Cache: cache, Tracer: tr1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,12 +112,12 @@ func TestCacheDifferentialColdWarmCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := CoreCover(inst.Query, inst.Views, Options{Parallelism: 1})
+		cold, err := CoreCover(inst.Query, inst.Views, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr2 := obs.New()
-		gotShrunk, err := CoreCover(inst.Query, nil, Options{Parallelism: 1, Catalog: shrunk, Cache: cache, Tracer: tr2})
+		gotShrunk, err := CoreCover(inst.Query, nil, Options{Catalog: shrunk, Cache: cache, Tracer: tr2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +129,7 @@ func TestCacheDifferentialColdWarmCatalog(t *testing.T) {
 		// The original catalog's entry is still live under its own
 		// generation: planning against cat again must hit.
 		tr3 := obs.New()
-		back, err := CoreCover(inst.Query, nil, Options{Parallelism: par, Catalog: cat, Cache: cache, Tracer: tr3})
+		back, err := CoreCover(inst.Query, nil, Options{Catalog: cat, Cache: cache, Tracer: tr3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,12 +154,12 @@ func TestCacheDifferentialPlanQueryParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewPlanCache(4)
-	cold, err := CoreCover(inst.Query, inst.Views, Options{Parallelism: 1})
+	cold, err := CoreCover(inst.Query, inst.Views, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := CoreCover(inst.Query, nil, Options{Parallelism: 1, Catalog: cat, Cache: cache})
+		got, err := CoreCover(inst.Query, nil, Options{Catalog: cat, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

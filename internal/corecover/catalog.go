@@ -21,7 +21,6 @@ package corecover
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"viewplan/internal/cq"
@@ -62,87 +61,44 @@ type Catalog struct {
 	// views whose definitions mention it, in set order.
 	byPred map[uint32][]string
 	// workPreds[i] lists the distinct interned body-predicate ids of
-	// work.Views[i]. The scale pipeline's candidate prefilter
-	// (Options.CoverShards > 0) tests these against the minimized
-	// query's predicates, so deciding that a view cannot contribute
-	// tuples costs a few array loads instead of a kernel setup.
+	// work.Views[i]. The view-tuple candidate prefilter tests these
+	// against the minimized query's predicates, so deciding that a view
+	// cannot contribute tuples costs a few array loads instead of a
+	// kernel setup.
 	workPreds [][]uint32
 }
 
 // CompileViews compiles a view set into a resident Catalog. Each view
 // definition must be a pure conjunctive query (comparison-bearing views
-// are rejected here, once, instead of on every planning run). opts
-// contributes Parallelism — definition keys fan out across the worker
-// pool, each view's key landing in its index slot so the grouping is
-// identical to the sequential path — and Tracer for the compile itself;
-// the planning-time fields of opts are ignored.
+// are rejected here, once, instead of on every planning run). opts is
+// accepted for signature symmetry with the planning entry points; no
+// field of it affects the compile.
 func CompileViews(vs *views.Set, opts Options) (*Catalog, error) {
 	for _, v := range vs.Views {
 		if v.Def.HasComparisons() {
 			return nil, fmt.Errorf("corecover: view %s uses built-in predicates; CoreCover handles pure conjunctive views (see package ucq for the Section 8 extension)", v.Name())
 		}
 	}
-	// Private clone: the catalog must stay immutable even if the caller
-	// keeps mutating notions about the defs it passed in. NewSet clones
-	// every definition.
+	// Private set: the catalog must stay immutable even if the caller
+	// later mutates its own Set. The View objects are shared (they are
+	// immutable after NewSet).
 	own, err := vs.Subset(vs.Names())
 	if err != nil {
 		return nil, err
 	}
 	keys := make([]string, own.Len())
-	predLists := make([][]string, own.Len())
-	par := opts.parallelism()
-	if par > 1 && own.Len() > 1 {
-		if par > own.Len() {
-			par = own.Len()
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= own.Len() {
-						return
-					}
-					keys[i] = views.DefinitionKey(own.Views[i])
-					predLists[i] = viewPredList(own.Views[i])
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, v := range own.Views {
-			keys[i] = views.DefinitionKey(v)
-			predLists[i] = viewPredList(v)
-		}
+	for i, v := range own.Views {
+		keys[i] = views.DefinitionKey(v)
 	}
-	return newCatalog(own, keys, predLists, par)
+	return newCatalog(own, keys)
 }
 
-// viewPredList extracts one view's predicate names in vocabulary
-// interning order: head first, then body atoms as written. Workers
-// compute these lists in parallel; newCatalog then interns them
-// sequentially, so the vocabulary issues the exact ids a sequential
-// compile would.
-func viewPredList(v *views.View) []string {
-	out := make([]string, 0, 1+len(v.Def.Body))
-	out = append(out, v.Def.Head.Pred)
-	for _, a := range v.Def.Body {
-		out = append(out, a.Pred)
-	}
-	return out
-}
-
-// newCatalog assembles a Catalog from a set, its precomputed definition
-// keys, and (optionally) precomputed per-view predicate-name lists,
-// minting a fresh generation. Interning walks the views in set order
-// whether the lists were computed in parallel or not, so vocabulary ids
-// — and everything keyed by them — are byte-identical across
-// Parallelism settings. par bounds the prefilter-index workers.
-func newCatalog(vs *views.Set, keys []string, predLists [][]string, par int) (*Catalog, error) {
+// newCatalog assembles a Catalog from a set and its precomputed
+// definition keys, minting a fresh generation. Interning walks the views
+// in set order — head first, then body atoms as written — so vocabulary
+// ids, and everything keyed by them, are a function of the definitions
+// alone.
+func newCatalog(vs *views.Set, keys []string) (*Catalog, error) {
 	classes := vs.ClassesFromKeys(keys)
 	names := make([]string, len(classes))
 	for i, c := range classes {
@@ -161,42 +117,32 @@ func newCatalog(vs *views.Set, keys []string, predLists [][]string, par int) (*C
 		vocab:   cq.NewInterner(),
 		byPred:  make(map[uint32][]string),
 	}
-	for i, v := range vs.Views {
-		var preds []string
-		if predLists != nil {
-			preds = predLists[i]
-		}
-		if preds == nil {
-			preds = viewPredList(v)
-		}
-		c.vocab.PredID(preds[0])
-		for _, p := range preds[1:] {
-			id := c.vocab.PredID(p)
+	for _, v := range vs.Views {
+		c.vocab.PredID(v.Def.Head.Pred)
+		for _, a := range v.Def.Body {
+			id := c.vocab.PredID(a.Pred)
 			ns := c.byPred[id]
 			if len(ns) == 0 || ns[len(ns)-1] != v.Name() {
 				c.byPred[id] = append(ns, v.Name())
 			}
 		}
 	}
-	c.workPreds = compileWorkPreds(work, c.vocab, par)
+	c.workPreds = compileWorkPreds(work, c.vocab)
 	return c, nil
 }
 
 // compileWorkPreds builds the per-representative distinct body-pred id
 // lists for the candidate prefilter. Every predicate is already interned
-// (vocab covers all views, and work is a subset), so workers resolve
-// through the read-only LookupPred and each writes only its own slot —
-// the result is position-identical for every par.
-func compileWorkPreds(work *views.Set, vocab *cq.Interner, par int) [][]uint32 {
+// (vocab covers all views, and work is a subset), so the read-only
+// LookupPred resolves each one.
+func compileWorkPreds(work *views.Set, vocab *cq.Interner) [][]uint32 {
 	out := make([][]uint32, work.Len())
-	slot := func(i int) {
+	for i, v := range work.Views {
 		var ids []uint32
 	atoms:
-		for _, a := range work.Views[i].Def.Body {
+		for _, a := range v.Def.Body {
 			id, ok := vocab.LookupPred(a.Pred)
 			if !ok {
-				// Interning from a worker would race; this cannot happen
-				// because vocab interned every view predicate first.
 				panic("corecover: view predicate missing from catalog vocabulary")
 			}
 			for _, have := range ids {
@@ -208,31 +154,6 @@ func compileWorkPreds(work *views.Set, vocab *cq.Interner, par int) [][]uint32 {
 		}
 		out[i] = ids
 	}
-	if par > work.Len() {
-		par = work.Len()
-	}
-	if par <= 1 || work.Len() <= 1 {
-		for i := range out {
-			slot(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= work.Len() {
-					return
-				}
-				slot(i)
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }
 
@@ -308,7 +229,7 @@ func (c *Catalog) AddViews(defs ...*cq.Query) (*Catalog, error) {
 	for i := c.vs.Len(); i < vs.Len(); i++ {
 		keys[i] = views.DefinitionKey(vs.Views[i])
 	}
-	return newCatalog(vs, keys, nil, 1)
+	return newCatalog(vs, keys)
 }
 
 // RemoveView returns a new Catalog without the named view, sharing the
@@ -468,6 +389,6 @@ func (c *Catalog) rebuildWork() error {
 		return err
 	}
 	c.work = work
-	c.workPreds = compileWorkPreds(work, c.vocab, 1)
+	c.workPreds = compileWorkPreds(work, c.vocab)
 	return nil
 }

@@ -135,11 +135,11 @@ func TestRemoveViewMatchesFreshCompile(t *testing.T) {
 		}
 		requireCatalogEquiv(t, "remove "+name, inc, fresh)
 
-		got, err := CoreCover(q, nil, Options{Parallelism: 1, Catalog: inc})
+		got, err := CoreCover(q, nil, Options{Catalog: inc})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := CoreCover(q, nil, Options{Parallelism: 1, Catalog: fresh})
+		want, err := CoreCover(q, nil, Options{Catalog: fresh})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,11 +216,11 @@ func TestRemoveViewMatchesFreshCompileWorkload(t *testing.T) {
 		}
 		requireCatalogEquiv(t, "remove "+name, inc, fresh)
 
-		got, err := CoreCover(inst.Query, nil, Options{Parallelism: 1, CoverShards: 1, Catalog: inc})
+		got, err := CoreCover(inst.Query, nil, Options{Catalog: inc})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := CoreCover(inst.Query, nil, Options{Parallelism: 1, Catalog: fresh})
+		want, err := CoreCover(inst.Query, nil, Options{Catalog: fresh})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,28 +17,26 @@ func TestCompileViewsGroupingMatchesEquivalenceClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := inst.Views.EquivalenceClasses()
-	for _, par := range []int{1, 8} {
-		cat, err := CompileViews(inst.Views, Options{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
+	cat, err := CompileViews(inst.Views, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cat.classes) != len(want) {
+		t.Fatalf("%d classes, want %d", len(cat.classes), len(want))
+	}
+	for i := range want {
+		if len(cat.classes[i]) != len(want[i]) {
+			t.Fatalf("class %d has %d members, want %d", i, len(cat.classes[i]), len(want[i]))
 		}
-		if len(cat.classes) != len(want) {
-			t.Fatalf("parallelism %d: %d classes, want %d", par, len(cat.classes), len(want))
-		}
-		for i := range want {
-			if len(cat.classes[i]) != len(want[i]) {
-				t.Fatalf("parallelism %d: class %d has %d members, want %d", par, i, len(cat.classes[i]), len(want[i]))
-			}
-			for j := range want[i] {
-				if cat.classes[i][j].Name() != want[i][j].Name() {
-					t.Fatalf("parallelism %d: class %d member %d is %s, want %s",
-						par, i, j, cat.classes[i][j].Name(), want[i][j].Name())
-				}
+		for j := range want[i] {
+			if cat.classes[i][j].Name() != want[i][j].Name() {
+				t.Fatalf("class %d member %d is %s, want %s",
+					i, j, cat.classes[i][j].Name(), want[i][j].Name())
 			}
 		}
-		if cat.NumClasses() != len(want) || cat.work.Len() != len(want) {
-			t.Fatalf("parallelism %d: NumClasses=%d work=%d, want %d", par, cat.NumClasses(), cat.work.Len(), len(want))
-		}
+	}
+	if cat.NumClasses() != len(want) || cat.work.Len() != len(want) {
+		t.Fatalf("NumClasses=%d work=%d, want %d", cat.NumClasses(), cat.work.Len(), len(want))
 	}
 }
 
@@ -57,7 +55,7 @@ func TestCatalogCopyOnWriteSharesViewsAndKeys(t *testing.T) {
 		cq.MustParseQuery("v1(X, Y) :- e0(X, Y)"),
 		cq.MustParseQuery("v2(X, Y) :- e1(X, Y)"),
 	)
-	cat, err := CompileViews(vs, Options{Parallelism: 1})
+	cat, err := CompileViews(vs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestCatalogVocabulary(t *testing.T) {
 		cq.MustParseQuery("v1(X, Y) :- e0(X, Y)"),
 		cq.MustParseQuery("v2(X, Z) :- e0(X, Y), e1(Y, Z)"),
 	)
-	cat, err := CompileViews(vs, Options{Parallelism: 1})
+	cat, err := CompileViews(vs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +146,7 @@ func TestCatalogVocabulary(t *testing.T) {
 
 func TestCatalogGenerationZeroNeverIssued(t *testing.T) {
 	vs := views.MustNewSet(cq.MustParseQuery("v1(X, Y) :- e0(X, Y)"))
-	cat, err := CompileViews(vs, Options{Parallelism: 1})
+	cat, err := CompileViews(vs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,7 @@ package corecover
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"viewplan/internal/containment"
 	"viewplan/internal/cq"
@@ -15,7 +12,8 @@ import (
 
 // Options tunes the CoreCover algorithms. The zero value enables the
 // paper's configuration (view and view-tuple equivalence-class grouping on,
-// no caps) with the worker pool sized to the machine (see Parallelism).
+// no caps). A run is one sequential pass on the calling goroutine;
+// concurrency lives between requests (internal/service), never inside one.
 type Options struct {
 	// DisableViewGrouping skips the Section 5.2 grouping of views into
 	// equivalence classes (used by the grouping ablation benchmark).
@@ -33,27 +31,6 @@ type Options struct {
 	// PlanningStats. The nil default is a no-op: the hot path pays only
 	// a pointer check.
 	Tracer *obs.Tracer
-	// Parallelism bounds the worker pool that fans out the per-view
-	// homomorphism enumeration (view tuples) and the per-cover
-	// verification batches. 0 defaults to runtime.GOMAXPROCS(0); 1 runs
-	// the pipeline strictly sequentially, creating no goroutines and
-	// paying no synchronization on the hot path. The Result is identical
-	// for every setting: workers collect into index-addressed slots and
-	// the coordinator reassembles in deterministic order (see DESIGN.md,
-	// "Parallel search determinism").
-	Parallelism int
-	// CoverShards, when > 0, runs the scale pipeline for massive view
-	// sets: candidate views are prefiltered by predicate coverage before
-	// any homomorphism probe, the surviving probes run through pooled
-	// batch frames, and the cover search decomposes the subgoal universe
-	// into connected components searched independently on at most
-	// CoverShards workers and merged deterministically (DESIGN.md §14).
-	// The Result is byte-identical to the default pipeline at every
-	// setting — like Parallelism, CoverShards only partitions work, and
-	// like Parallelism it is excluded from plan-cache fingerprints. 0
-	// keeps the legacy single-universe search with its exact allocation
-	// profile.
-	CoverShards int
 	// Catalog, when non-nil, supplies the resident compiled view world:
 	// the run plans against the catalog's views (the vs argument of
 	// CoreCover/CoreCoverStar is ignored), reusing its precompiled
@@ -67,14 +44,6 @@ type Options struct {
 	// (see PlanCache). Without a Catalog the cache is ignored: a cache
 	// key must pin the view set, and only a catalog generation does.
 	Cache *PlanCache
-}
-
-// parallelism resolves the effective worker-pool bound.
-func (o Options) parallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // TupleClass groups view tuples with the same tuple-core (the concise
@@ -96,7 +65,11 @@ type Result struct {
 	MinimalQuery *cq.Query
 	// ViewClasses are the view equivalence classes used (each class's
 	// first member is the representative). With grouping disabled every
-	// view is its own class.
+	// view is its own class. Read-only: a catalog-backed Result shares
+	// this table — with the catalog, whose class table is immutable,
+	// with the plan cache's entry and with every hit served from it —
+	// exactly as Catalog.Views() is shared. Only an ad-hoc (no catalog)
+	// run owns its table.
 	ViewClasses [][]*views.View
 	// Tuples are all view tuples of the representative views.
 	Tuples []views.Tuple
@@ -219,14 +192,9 @@ func runCold(q *cq.Query, vs *views.Set, opts Options, star bool) (*Result, erro
 	}
 	ver := r.newVerifier(vs, opts)
 	var covers [][]int
-	switch {
-	case star && opts.CoverShards > 0:
-		covers = cs.IrredundantCoversSharded(opts.CoverShards, opts.MaxRewritings, ver.accept(opts.Tracer))
-	case star:
+	if star {
 		covers = cs.IrredundantCovers(opts.MaxRewritings, ver.accept(opts.Tracer))
-	case opts.CoverShards > 0:
-		covers = cs.MinimumCoversSharded(opts.CoverShards, opts.MaxRewritings, ver.coverFilter(opts.Tracer, opts.MaxRewritings))
-	default:
+	} else {
 		covers = cs.MinimumCovers(opts.MaxRewritings, ver.coverFilter(opts.Tracer, opts.MaxRewritings))
 	}
 	sp := opts.Tracer.Start(obs.PhaseAssemble)
@@ -294,32 +262,11 @@ func prepare(q *cq.Query, vs *views.Set, opts Options) (*Result, *coverSearch, e
 	} else if cat := opts.Catalog; cat != nil {
 		// The resident catalog already grouped its views with the same
 		// ClassesFromKeys pipeline, so class order and representative
-		// choice are byte-identical to the cold computation. Copy the
-		// class slices defensively — the Result is caller-owned — while
-		// sharing the immutable View objects and the work subset.
+		// choice are byte-identical to the cold computation. The class
+		// table and the work subset are immutable and shared, not copied
+		// (see Result.ViewClasses).
 		sp = tr.Start(obs.PhaseViewGrouping)
-		classes = make([][]*views.View, len(cat.classes))
-		if opts.CoverShards > 0 {
-			// The scale pipeline copies through one slab: at 20k views
-			// the per-class header allocations dominate the whole
-			// catalog-path prepare. Full-cap subslices keep the classes
-			// independently appendable, so the caller-facing contract is
-			// unchanged.
-			total := 0
-			for _, cl := range cat.classes {
-				total += len(cl)
-			}
-			slab := make([]*views.View, 0, total)
-			for i, cl := range cat.classes {
-				off := len(slab)
-				slab = append(slab, cl...)
-				classes[i] = slab[off:len(slab):len(slab)]
-			}
-		} else {
-			for i, cl := range cat.classes {
-				classes[i] = append([]*views.View(nil), cl...)
-			}
-		}
+		classes = cat.classes
 		work = cat.work
 		sp.End()
 	} else {
@@ -338,21 +285,7 @@ func prepare(q *cq.Query, vs *views.Set, opts Options) (*Result, *coverSearch, e
 	}
 
 	sp = tr.Start(obs.PhaseViewTuples)
-	var tuples []views.Tuple
-	switch par := opts.parallelism(); {
-	case opts.CoverShards > 0 && par > 1:
-		fan := tr.Start(obs.PhaseParallelFanout)
-		tuples = views.ComputeTuplesBatched(minQ, work, par, candidateFilter(minQ, work, opts.Catalog))
-		fan.End()
-	case opts.CoverShards > 0:
-		tuples = views.ComputeTuplesBatched(minQ, work, 1, candidateFilter(minQ, work, opts.Catalog))
-	case par > 1:
-		fan := tr.Start(obs.PhaseParallelFanout)
-		tuples = views.ComputeTuplesN(minQ, work, par)
-		fan.End()
-	default:
-		tuples = views.ComputeTuples(minQ, work)
-	}
+	tuples := views.ComputeTuples(minQ, work, catalogCandidates(minQ, work, opts.Catalog))
 	sp.End()
 	tr.Add(obs.CtrViewTuples, int64(len(tuples)))
 	cc := newCoreComputer(minQ)
@@ -402,39 +335,25 @@ func prepare(q *cq.Query, vs *views.Set, opts Options) (*Result, *coverSearch, e
 	return r, cs, nil
 }
 
-// candidateFilter returns the predicate-coverage test the batched tuple
-// computation prefilters views with: a view can contribute tuples only
-// when every predicate of its body occurs in the minimized query's body
-// (the canonical database has no other facts, so the kernel's compile
-// would fail anyway — the filter just skips the per-view kernel setup).
-// When the run plans against a catalog's representative subset, the
-// test runs over the catalog's precompiled interned id lists; otherwise
-// over a per-run name set.
-func candidateFilter(minQ *cq.Query, work *views.Set, cat *Catalog) func(int) bool {
-	if cat != nil && work == cat.work {
-		inQ := make([]bool, cat.vocab.NumPreds())
-		for _, a := range minQ.Body {
-			if id, ok := cat.vocab.LookupPred(a.Pred); ok {
-				inQ[id] = true
-			}
-		}
-		preds := cat.workPreds
-		return func(i int) bool {
-			for _, id := range preds[i] {
-				if !inQ[id] {
-					return false
-				}
-			}
-			return true
-		}
+// catalogCandidates returns views.ComputeTuples' candidate prefilter
+// (every body predicate of the view occurs in the minimized query's body)
+// evaluated over the catalog's precompiled interned id lists, when the
+// run plans against the catalog's representative subset. Otherwise it
+// returns nil and ComputeTuples runs the same test over predicate names.
+func catalogCandidates(minQ *cq.Query, work *views.Set, cat *Catalog) func(int) bool {
+	if cat == nil || work != cat.work {
+		return nil
 	}
-	inQ := make(map[string]bool, len(minQ.Body))
+	inQ := make([]bool, cat.vocab.NumPreds())
 	for _, a := range minQ.Body {
-		inQ[a.Pred] = true
+		if id, ok := cat.vocab.LookupPred(a.Pred); ok {
+			inQ[id] = true
+		}
 	}
+	preds := cat.workPreds
 	return func(i int) bool {
-		for _, a := range work.Views[i].Def.Body {
-			if !inQ[a.Pred] {
+		for _, id := range preds[i] {
+			if !inQ[id] {
 				return false
 			}
 		}
@@ -460,51 +379,14 @@ type verifier struct {
 	r    *Result
 	vs   *views.Set
 	opts Options
-	// mu guards ok: the map is written by the fanout workers of
-	// coverFilter's parallel path as well as the sequential collect pass.
-	// Keys are packed coverID bitsets, so the common lookup hashes one
-	// uint64 instead of a formatted index string.
-	mu sync.Mutex
+	// ok caches each checked cover's verdict (nil = rejected). Keys are
+	// packed coverID bitsets, so the common lookup hashes one uint64
+	// instead of a formatted index string.
 	ok map[coverID]*cq.Query
-	// hom memoizes the expansion-equivalence verdicts, shared by every
-	// worker of a parallel run. Candidate rewritings repeat up to
-	// variable renaming across covers and member fallbacks, so the
-	// verdicts are keyed by the candidate's exact canonical form paired
-	// with minKey — canonicalizing the small candidate, never its
-	// expansion. The cache is enabled only when the run actually fans
-	// out (parallelism > 1): key construction is not free, and the
-	// sequential path must keep its exact allocation profile.
-	hom    containment.HomCache
-	minKey string
 }
 
 func (r *Result) newVerifier(vs *views.Set, opts Options) *verifier {
-	v := &verifier{r: r, vs: vs, opts: opts, ok: make(map[coverID]*cq.Query)}
-	if !opts.SkipVerification && opts.parallelism() > 1 {
-		// "" (an impossible canonical form) keeps the verdict cache off:
-		// sequential runs, and minimized queries with no exact canonical
-		// key.
-		v.minKey, _ = v.hom.CanonicalKeyOf(r.MinimalQuery)
-	}
-	return v
-}
-
-// isEquivalent decides whether p is an equivalent rewriting of the
-// minimized query, answering repeats (up to renaming p) from the hom
-// cache when it is enabled. Uncacheable candidates of a parallel run
-// fall through to the direct check and count as misses.
-func (v *verifier) isEquivalent(p *cq.Query) bool {
-	if v.minKey == "" {
-		return v.vs.IsEquivalentRewriting(p, v.r.MinimalQuery)
-	}
-	pk, ok := v.hom.CanonicalKeyOf(p)
-	if !ok {
-		obs.Global.Add(obs.CtrHomCacheMiss, 1)
-		return v.vs.IsEquivalentRewriting(p, v.r.MinimalQuery)
-	}
-	return v.hom.DecidePair(pk, v.minKey, func() bool {
-		return v.vs.IsEquivalentRewriting(p, v.r.MinimalQuery)
-	})
+	return &verifier{r: r, vs: vs, opts: opts, ok: make(map[coverID]*cq.Query)}
 }
 
 // accept returns the per-cover callback handed to the irredundant-cover
@@ -522,21 +404,13 @@ func (v *verifier) accept(tr *obs.Tracer) func([]int) bool {
 // coverFilter returns the batch filter handed to the minimum-cover
 // search, or nil when verification is disabled (the search then applies
 // maxAccepted itself). The filter keeps each size level's accepted covers
-// in enumeration order and truncates to maxAccepted accepted covers —
-// rejected candidates never count against the cap. The sequential and
-// parallel paths return byte-identical slices: verification of a cover is
-// deterministic, order is preserved by index, and the cap takes the same
-// prefix of accepted covers either way (the parallel path merely verifies
-// some covers beyond the cap speculatively).
+// in enumeration order and stops verifying at maxAccepted accepted covers
+// — rejected candidates never count against the cap.
 func (v *verifier) coverFilter(tr *obs.Tracer, maxAccepted int) func([][]int) [][]int {
 	if v.opts.SkipVerification {
 		return nil
 	}
-	par := v.opts.parallelism()
 	return func(covers [][]int) [][]int {
-		if par > 1 && len(covers) > 1 {
-			return v.filterParallel(tr, covers, maxAccepted, par)
-		}
 		out := covers[:0]
 		for _, c := range covers {
 			if _, ok := v.verify(tr, c); ok {
@@ -550,46 +424,6 @@ func (v *verifier) coverFilter(tr *obs.Tracer, maxAccepted int) func([][]int) []
 	}
 }
 
-// filterParallel verifies a batch of covers across the worker pool.
-// Workers claim cover indexes and write verdicts into index-addressed
-// slots; they must not open tracer spans (spans are single-goroutine), so
-// the coordinator wraps the fanout in one PhaseParallelFanout span and
-// workers report through atomic counters only.
-func (v *verifier) filterParallel(tr *obs.Tracer, covers [][]int, maxAccepted, par int) [][]int {
-	sp := tr.Start(obs.PhaseParallelFanout)
-	verdicts := make([]*cq.Query, len(covers))
-	if par > len(covers) {
-		par = len(covers)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(covers) {
-					return
-				}
-				verdicts[i] = v.verifyConcurrent(tr, covers[i])
-			}
-		}()
-	}
-	wg.Wait()
-	sp.End()
-	out := covers[:0]
-	for i, c := range covers {
-		if verdicts[i] != nil {
-			out = append(out, c)
-			if maxAccepted > 0 && len(out) >= maxAccepted {
-				break
-			}
-		}
-	}
-	return out
-}
-
 // memberFallbackLimit caps how many member combinations are tried per
 // cover when the representative combination fails verification.
 const memberFallbackLimit = 64
@@ -601,41 +435,14 @@ const memberFallbackLimit = 64
 // call site — two extra allocations per run even with tracing off.
 func (v *verifier) verify(tr *obs.Tracer, cover []int) (*cq.Query, bool) {
 	key := coverIDOf(cover)
-	if p, done := v.lookup(key); done {
+	if p, done := v.ok[key]; done {
 		return p, p != nil
 	}
 	sp := tr.Start(obs.PhaseVerify)
 	p := v.check(tr, cover)
-	v.store(key, p)
+	v.ok[key] = p
 	sp.End()
 	return p, p != nil
-}
-
-// verifyConcurrent is verify for fanout workers: identical caching and
-// verdict, but no tracer spans (counters only, which are atomic). Two
-// workers may race to verify the same key; verification is deterministic,
-// so either write stores the same verdict.
-func (v *verifier) verifyConcurrent(tr *obs.Tracer, cover []int) *cq.Query {
-	key := coverIDOf(cover)
-	if p, done := v.lookup(key); done {
-		return p
-	}
-	p := v.check(tr, cover)
-	v.store(key, p)
-	return p
-}
-
-func (v *verifier) lookup(key coverID) (*cq.Query, bool) {
-	v.mu.Lock()
-	p, done := v.ok[key]
-	v.mu.Unlock()
-	return p, done
-}
-
-func (v *verifier) store(key coverID, p *cq.Query) {
-	v.mu.Lock()
-	v.ok[key] = p
-	v.mu.Unlock()
 }
 
 // check decides one cover: the representative combination first, then the
@@ -644,7 +451,7 @@ func (v *verifier) check(tr *obs.Tracer, cover []int) *cq.Query {
 	tr.Add(obs.CtrVerifyChecks, 1)
 	try := func(tuples []views.Tuple) *cq.Query {
 		p := views.TuplesAsQuery(v.r.MinimalQuery, tuples)
-		if v.isEquivalent(p) {
+		if v.vs.IsEquivalentRewriting(p, v.r.MinimalQuery) {
 			return p
 		}
 		return nil

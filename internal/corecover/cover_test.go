@@ -4,7 +4,12 @@ package corecover
 // counts ACCEPTED covers, so a verifier rejecting early candidates must
 // never starve the cap or displace an acceptable later cover.
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"viewplan/internal/obs"
+)
 
 // capSearch builds a universe of 2 subgoals with three minimum covers of
 // size 1: sets 0, 1, and 2 each cover everything, so the candidate order
@@ -90,5 +95,60 @@ func TestMinimumCoversRejectedLevelFallsThrough(t *testing.T) {
 	rejectAll := func(covers [][]int) [][]int { return covers[:0] }
 	if covers := cs.MinimumCovers(0, rejectAll); covers != nil {
 		t.Fatalf("MinimumCovers(0, reject all) = %v, want nil", covers)
+	}
+}
+
+// TestIrredundantCoversCapEndsDFS pins what a capped CoreCover* walks:
+// the DFS stops at the cap instead of enumerating the space and cutting
+// afterwards. The family is three disjoint components of eight
+// alternatives each (8³ = 512 irredundant covers, 585 DFS nodes); with
+// cap 4 the search must visit fewer nodes than the uncapped run by at
+// least the product of two components, and ask the verifier about no more
+// covers than it returns plus the ones the verifier turned down.
+func TestIrredundantCoversCapEndsDFS(t *testing.T) {
+	const comps, alts, maxCovers = 3, 8, 4
+	var sets []SubgoalSet
+	for e := 0; e < comps; e++ {
+		for a := 0; a < alts; a++ {
+			sets = append(sets, SubgoalSet(0).With(e))
+		}
+	}
+	// The verifier turns down every cover using the first alternative of
+	// the last component, so rejections interleave with acceptances.
+	run := func(maxCovers int) (covers [][]int, nodes int64, asked, rejected int) {
+		tr := obs.New()
+		cs := &coverSearch{universe: Universe(comps), sets: sets, tracer: tr}
+		covers = cs.IrredundantCovers(maxCovers, func(c []int) bool {
+			asked++
+			if c[comps-1] == (comps-1)*alts {
+				rejected++
+				return false
+			}
+			return true
+		})
+		return covers, tr.Counter(obs.CtrCoverNodes), asked, rejected
+	}
+	full, fullNodes, _, _ := run(0)
+	if want := alts * alts * (alts - 1); len(full) != want {
+		t.Fatalf("uncapped search returned %d covers, want %d", len(full), want)
+	}
+	capped, cappedNodes, asked, rejected := run(maxCovers)
+	if len(capped) != maxCovers {
+		t.Fatalf("capped search returned %d covers, want %d", len(capped), maxCovers)
+	}
+	for i := range capped {
+		if fmt.Sprint(capped[i]) != fmt.Sprint(full[i]) {
+			t.Fatalf("capped cover %d = %v, uncapped has %v", i, capped[i], full[i])
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("the capped walk met no rejected cover; the fixture no longer interleaves them")
+	}
+	if asked > maxCovers+rejected {
+		t.Fatalf("accept called %d times for cap %d with %d rejections", asked, maxCovers, rejected)
+	}
+	if saved := fullNodes - cappedNodes; saved < alts*alts {
+		t.Fatalf("capped search visited %d nodes, uncapped %d: saved %d, want at least %d",
+			cappedNodes, fullNodes, saved, alts*alts)
 	}
 }

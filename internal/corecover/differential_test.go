@@ -1,32 +1,17 @@
 package corecover
 
 import (
-	"os"
-	"strconv"
+	"fmt"
+	"sort"
 	"testing"
 
 	"viewplan/internal/bucket"
+	"viewplan/internal/containment"
 	"viewplan/internal/cq"
 	"viewplan/internal/minicon"
+	"viewplan/internal/views"
 	"viewplan/internal/workload"
 )
-
-// testParallelism is the fanout bound the differential tests exercise.
-// The VIEWPLAN_PARALLEL environment hook lets `make check` force a wide
-// pool under the race detector; the default of 8 oversubscribes small
-// machines on purpose, so the parallel path runs even where GOMAXPROCS
-// is 1.
-func testParallelism(tb testing.TB) int {
-	tb.Helper()
-	if s := os.Getenv("VIEWPLAN_PARALLEL"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			tb.Fatalf("bad VIEWPLAN_PARALLEL=%q: %v", s, err)
-		}
-		return n
-	}
-	return 8
-}
 
 // diffCorpus generates the ~200-instance seeded chain/star corpus the
 // differential harness runs on: body sizes 4–6, 6–12 views, with and
@@ -56,8 +41,8 @@ func diffCorpus(t *testing.T) []*workload.Instance {
 
 // requireResultsEqual compares every semantically meaningful field of two
 // Results (PlanningStats is timing and may differ). Shared by the
-// parallel-vs-sequential harness and the plan-cache differential
-// harness, so the label names the two runs being compared.
+// oracle differential harness and the plan-cache differential harness,
+// so the label names the two runs being compared.
 func requireResultsEqual(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	fail := func(field string, x, y any) {
@@ -127,44 +112,251 @@ func requireResultsEqual(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestDifferentialParallelMatchesSequential asserts the tentpole
-// determinism guarantee: for every corpus instance, CoreCover and
-// CoreCover* produce identical Results with Parallelism=1 and
-// Parallelism=N (N from VIEWPLAN_PARALLEL, default 8), including with a
-// rewriting cap, where the parallel path verifies covers speculatively
-// beyond the cap.
+// oracleTuples is T(Q, V) evaluated literally — the definition the
+// production views.ComputeTuples is held to: no candidate prefilter, no
+// batch frame, one CanonicalDB.EvaluateFunc call per view with answers
+// deduplicated per view. (internal/views/tuples_test.go holds the same
+// reference for the function in isolation.)
+func oracleTuples(minQ *cq.Query, work []*views.View) []views.Tuple {
+	db := containment.FreezeQuery(minQ)
+	var out []views.Tuple
+	for _, v := range work {
+		start := len(out)
+		db.EvaluateFunc(v.Def, func(frozen []cq.Term) bool {
+			args := make([]cq.Term, len(frozen))
+			for i, t := range frozen {
+				args[i] = db.ThawTerm(t)
+			}
+			atom := cq.Atom{Pred: v.Def.Head.Pred, Args: args}
+			for _, prev := range out[start:] {
+				if prev.Atom.Equal(atom) {
+					return true
+				}
+			}
+			out = append(out, views.Tuple{View: v, Atom: atom})
+			return true
+		})
+	}
+	return out
+}
+
+// requireMatchesOracle holds one Result to the oracle: its view tuples
+// are exactly the unfiltered per-view tuples of the class
+// representatives, and every emitted rewriting passes the full
+// expansion-equivalence test against the original query.
+func requireMatchesOracle(t *testing.T, label string, inst *workload.Instance, r *Result) {
+	t.Helper()
+	reps := make([]*views.View, len(r.ViewClasses))
+	for i, cl := range r.ViewClasses {
+		reps[i] = cl[0]
+	}
+	want := oracleTuples(r.MinimalQuery, reps)
+	if len(r.Tuples) != len(want) {
+		t.Fatalf("%s: %d view tuples, oracle has %d", label, len(r.Tuples), len(want))
+	}
+	for i := range want {
+		if r.Tuples[i].View != want[i].View || !r.Tuples[i].Atom.Equal(want[i].Atom) {
+			t.Fatalf("%s: tuple %d = %v, oracle has %v", label, i, r.Tuples[i], want[i])
+		}
+	}
+	if len(r.Rewritings) != len(r.Covers) {
+		t.Fatalf("%s: %d rewritings for %d covers", label, len(r.Rewritings), len(r.Covers))
+	}
+	for _, p := range r.Rewritings {
+		if !inst.Views.IsEquivalentRewriting(p, inst.Query) {
+			t.Fatalf("%s: emitted rewriting is not equivalent to the query:\n  %s", label, p)
+		}
+	}
+}
+
+// requireCappedPrefix asserts a capped run is the uncapped run cut at
+// the cap: same tuples and classes, the first max rewritings and covers.
+func requireCappedPrefix(t *testing.T, label string, full, capped *Result, max int) {
+	t.Helper()
+	want := *full
+	if len(want.Rewritings) > max {
+		want.Rewritings, want.Covers = want.Rewritings[:max], want.Covers[:max]
+	}
+	requireResultsEqual(t, label, &want, capped)
+}
+
+// diffOptionGrid is the option axis of the oracle harness: the paper's
+// configuration and the grouping ablation.
+var diffOptionGrid = []Options{
+	{},
+	{DisableViewGrouping: true, DisableTupleGrouping: true},
+}
+
+// TestDifferentialParallelMatchesSequential holds the cold pipeline to
+// the oracle over the whole corpus (the name predates the single
+// pipeline: it used to compare fan-out settings against each other). For
+// CoreCover and CoreCover*, grouping on and off: view tuples equal the
+// unfiltered per-view reference, every emitted rewriting is re-checked by
+// expansion equivalence, and a capped run is a prefix of the uncapped
+// one.
 func TestDifferentialParallelMatchesSequential(t *testing.T) {
-	par := testParallelism(t)
-	for _, inst := range diffCorpus(t) {
-		seq, err := CoreCover(inst.Query, inst.Views, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
+	for n, inst := range diffCorpus(t) {
+		for _, opts := range diffOptionGrid {
+			for _, alg := range algorithms {
+				label := fmt.Sprintf("%s #%d grouping=%v %s", alg.name, n, !opts.DisableViewGrouping, inst.Query)
+				full, err := alg.run(inst.Query, inst.Views, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireMatchesOracle(t, label, inst, full)
+				for _, max := range []int{1, 3} {
+					o := opts
+					o.MaxRewritings = max
+					capped, err := alg.run(inst.Query, inst.Views, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireCappedPrefix(t, fmt.Sprintf("%s max=%d", label, max), full, capped, max)
+				}
+			}
 		}
-		got, err := CoreCover(inst.Query, inst.Views, Options{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireResultsEqual(t, "CoreCover "+inst.Query.String(), seq, got)
+	}
+}
 
-		seqStar, err := CoreCoverStar(inst.Query, inst.Views, Options{Parallelism: 1})
+// TestDifferentialShardedMatchesSequential holds the pipeline's cover
+// search to a brute-force oracle over the corpus (the name predates the
+// single pipeline: it used to compare the component-sharded search
+// against the single-universe one). Every subset of the nonempty-core
+// classes is enumerated; the irredundant covers among them are exactly
+// what CoreCover* may emit, so each must either be emitted or have a
+// representative combination that fails expansion equivalence, and
+// CoreCover must emit exactly the minimum-size ones CoreCover* does.
+func TestDifferentialShardedMatchesSequential(t *testing.T) {
+	checked := 0
+	for n, inst := range diffCorpus(t) {
+		label := fmt.Sprintf("#%d %s", n, inst.Query)
+		star, err := CoreCoverStar(inst.Query, inst.Views, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotStar, err := CoreCoverStar(inst.Query, inst.Views, Options{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
+		var usable []int
+		for ci, c := range star.Classes {
+			if !c.Core.IsEmpty() {
+				usable = append(usable, ci)
+			}
 		}
-		requireResultsEqual(t, "CoreCoverStar "+inst.Query.String(), seqStar, gotStar)
+		if len(usable) > 16 {
+			continue // keep the 2^n enumeration small
+		}
+		checked++
+		universe := Universe(len(star.MinimalQuery.Body))
+		emitted := make(map[string]bool, len(star.Covers))
+		for _, c := range star.Covers {
+			emitted[fmt.Sprint(c)] = true
+		}
+		oracle := 0
+		for mask := 1; mask < 1<<len(usable); mask++ {
+			var cover []int
+			var union SubgoalSet
+			for b, ci := range usable {
+				if mask&(1<<b) != 0 {
+					cover = append(cover, ci)
+					union = union.Union(star.Classes[ci].Core.Covered)
+				}
+			}
+			if !union.Covers(universe) {
+				continue
+			}
+			irredundant := true
+			for _, ci := range cover {
+				var others SubgoalSet
+				for _, cj := range cover {
+					if cj != ci {
+						others = others.Union(star.Classes[cj].Core.Covered)
+					}
+				}
+				if star.Classes[ci].Core.Covered.Minus(others).IsEmpty() {
+					irredundant = false
+				}
+			}
+			if !irredundant {
+				continue
+			}
+			oracle++
+			if emitted[fmt.Sprint(cover)] {
+				continue
+			}
+			reps := make([]views.Tuple, len(cover))
+			for i, ci := range cover {
+				reps[i] = star.Classes[ci].Core.Tuple
+			}
+			if p := views.TuplesAsQuery(star.MinimalQuery, reps); inst.Views.IsEquivalentRewriting(p, inst.Query) {
+				t.Fatalf("%s: CoreCover* missed the irredundant cover %v:\n  %s", label, cover, p)
+			}
+		}
+		if len(star.Covers) > oracle {
+			t.Fatalf("%s: CoreCover* emitted %d covers, only %d irredundant covers exist", label, len(star.Covers), oracle)
+		}
 
-		seqCap, err := CoreCover(inst.Query, inst.Views, Options{Parallelism: 1, MaxRewritings: 1})
+		// GMRs are the minimum-size members of the CoreCover* space.
+		gmr, err := CoreCover(inst.Query, inst.Views, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotCap, err := CoreCover(inst.Query, inst.Views, Options{Parallelism: par, MaxRewritings: 1})
+		min := 1 << 30
+		for _, c := range star.Covers {
+			if len(c) < min {
+				min = len(c)
+			}
+		}
+		var want, got []string
+		for _, c := range star.Covers {
+			if len(c) == min {
+				want = append(want, fmt.Sprint(c))
+			}
+		}
+		for _, c := range gmr.Covers {
+			got = append(got, fmt.Sprint(c))
+		}
+		sort.Strings(want)
+		sort.Strings(got)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: CoreCover covers %v, minimum-size CoreCover* covers %v", label, got, want)
+		}
+	}
+	if checked < 150 {
+		t.Fatalf("brute-force oracle covered only %d corpus instances", checked)
+	}
+}
+
+// TestDifferentialShardedCatalogMatchesSequential runs the oracle check
+// through a compiled Catalog, the path the service plans on: the
+// candidate prefilter tests interned predicate ids against
+// Catalog.workPreds instead of predicate names and the Result shares the
+// catalog's class table. The catalog-backed Result must match the oracle
+// and equal the cold one byte for byte, capped and uncapped, grouping on
+// and off.
+func TestDifferentialShardedCatalogMatchesSequential(t *testing.T) {
+	for n, inst := range diffCorpus(t) {
+		cat, err := CompileViews(inst.Views, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireResultsEqual(t, "CoreCover(max=1) "+inst.Query.String(), seqCap, gotCap)
+		for _, opts := range diffOptionGrid {
+			for _, max := range []int{0, 1} {
+				for _, alg := range algorithms {
+					label := fmt.Sprintf("%s #%d grouping=%v max=%d %s", alg.name, n, !opts.DisableViewGrouping, max, inst.Query)
+					o := opts
+					o.MaxRewritings = max
+					cold, err := alg.run(inst.Query, inst.Views, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.Catalog = cat
+					got, err := alg.run(inst.Query, nil, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireMatchesOracle(t, label+" catalog", inst, got)
+					requireResultsEqual(t, label+" cold vs catalog", cold, got)
+				}
+			}
+		}
 	}
 }
 
@@ -185,10 +377,9 @@ func TestDifferentialParallelMatchesSequential(t *testing.T) {
 //     baseline rewriting must appear in CoreCover's rewriting set, keyed
 //     by cq.CanonicalKey.
 func TestDifferentialAgainstMiniConAndBucket(t *testing.T) {
-	par := testParallelism(t)
 	checked := 0
 	for _, inst := range diffCorpus(t) {
-		res, err := CoreCover(inst.Query, inst.Views, Options{Parallelism: par})
+		res, err := CoreCover(inst.Query, inst.Views, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +412,6 @@ func TestDifferentialAgainstMiniConAndBucket(t *testing.T) {
 		}
 
 		ungrouped, err := CoreCover(inst.Query, inst.Views, Options{
-			Parallelism:          par,
 			DisableViewGrouping:  true,
 			DisableTupleGrouping: true,
 		})

@@ -14,10 +14,9 @@ import (
 // base relations cover both the query's and the views' body predicates
 // (a view may scan a relation the query never mentions).
 func TestExecutionEquivalence(t *testing.T) {
-	par := testParallelism(t)
 	evaluated := 0
 	for n, inst := range diffCorpus(t) {
-		res, err := CoreCover(inst.Query, inst.Views, Options{Parallelism: par})
+		res, err := CoreCover(inst.Query, inst.Views, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@
 // cached Result, rebased onto the arrival's variable names through the
 // canonical labeling's witnessing bijection, is exactly a Result for the
 // arriving query. Queries the key cannot speak for (oversized bodies,
-// built-in comparisons — the same rule as the containment HomCache) and
+// built-in comparisons, where cq.ExactCanonicalKey declines) and
 // queries inside the planner's reserved "_"-variable namespace bypass
 // the cache entirely.
 package corecover
@@ -24,10 +24,8 @@ import (
 )
 
 // optionsFingerprint is the part of Options that changes what a run
-// produces. Tracer and Parallelism are deliberately absent: tracing
-// never alters the Result, and the parallel paths are proven
-// byte-identical to the sequential ones (the PR 2 differential
-// guarantee), so runs differing only in those fields share entries.
+// produces. Tracer is deliberately absent: tracing never alters the
+// Result, so traced and untraced runs share entries.
 type optionsFingerprint struct {
 	disableViewGrouping  bool
 	disableTupleGrouping bool
@@ -251,9 +249,10 @@ func usesReservedVars(q *cq.Query) bool {
 // source query's canonical labeling onto the target's (srcVars[i] ->
 // dstVars[i]). For a repeat of the byte-identical query the bijection is
 // the identity and the clone reproduces the cold Result byte for byte —
-// the cache-differential harness's contract. View objects are shared
-// (immutable by construction); everything renameable is cloned, so a
-// cached entry never aliases caller-visible state.
+// the cache-differential harness's contract. View objects and the
+// read-only ViewClasses table are shared (immutable by construction);
+// everything renameable is cloned, so a cached entry never aliases
+// caller-mutable state.
 func rebase(src *Result, srcVars, dstVars []cq.Var) *Result {
 	sigma := make(cq.Subst, len(srcVars))
 	for i, v := range srcVars {
@@ -262,12 +261,7 @@ func rebase(src *Result, srcVars, dstVars []cq.Var) *Result {
 	out := &Result{
 		Query:        sigma.Query(src.Query),
 		MinimalQuery: sigma.Query(src.MinimalQuery),
-	}
-	if src.ViewClasses != nil {
-		out.ViewClasses = make([][]*views.View, len(src.ViewClasses))
-		for i, cl := range src.ViewClasses {
-			out.ViewClasses[i] = append([]*views.View(nil), cl...)
-		}
+		ViewClasses:  src.ViewClasses, // shared read-only, see Result.ViewClasses
 	}
 	if src.Tuples != nil {
 		out.Tuples = make([]views.Tuple, len(src.Tuples))
@@ -478,13 +472,7 @@ func (e *cacheEntry) instantiate(dstVars []cq.Var) *Result {
 	query := func(q *cq.Query) *cq.Query {
 		return &cq.Query{Head: atom(q.Head), Body: atoms(q.Body)}
 	}
-	out := &Result{MinimalQuery: query(src.MinimalQuery)}
-	if src.ViewClasses != nil {
-		out.ViewClasses = make([][]*views.View, len(src.ViewClasses))
-		for i, cl := range src.ViewClasses {
-			out.ViewClasses[i] = append([]*views.View(nil), cl...)
-		}
-	}
+	out := &Result{MinimalQuery: query(src.MinimalQuery), ViewClasses: src.ViewClasses}
 	if src.Tuples != nil {
 		out.Tuples = make([]views.Tuple, len(src.Tuples))
 		for i, tu := range src.Tuples {

@@ -24,7 +24,7 @@ func cacheFixture(t testing.TB) (*views.Set, *Catalog) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := CompileViews(vs, Options{Parallelism: 1})
+	cat, err := CompileViews(vs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func cacheFixture(t testing.TB) (*views.Set, *Catalog) {
 func planCounted(t testing.TB, q *cq.Query, cat *Catalog, cache *PlanCache) (*Result, hitMiss) {
 	t.Helper()
 	tr := obs.New()
-	r, err := CoreCover(q, nil, Options{Parallelism: 1, Catalog: cat, Cache: cache, Tracer: tr})
+	r, err := CoreCover(q, nil, Options{Catalog: cat, Cache: cache, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPlanCacheCapacityOneEvictsAndReplans(t *testing.T) {
 	cache := NewPlanCache(1)
 	qa := cq.MustParseQuery("qa(X, Y) :- e0(X, Y)")
 	qb := cq.MustParseQuery("qb(X, Z) :- e0(X, Y), e1(X, Z)")
-	coldA, err := CoreCover(qa, vs, Options{Parallelism: 1})
+	coldA, err := CoreCover(qa, vs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPlanCacheCapacityOneEvictsAndReplans(t *testing.T) {
 	}
 	// qb displaces qa (capacity 1).
 	trB := obs.New()
-	if _, err := CoreCover(qb, nil, Options{Parallelism: 1, Catalog: cat, Cache: cache, Tracer: trB}); err != nil {
+	if _, err := CoreCover(qb, nil, Options{Catalog: cat, Cache: cache, Tracer: trB}); err != nil {
 		t.Fatal(err)
 	}
 	if trB.Counter(obs.CtrPlanCacheEvict) != 1 {
@@ -228,7 +228,7 @@ func TestPlanCacheWithoutCatalogIsIgnored(t *testing.T) {
 	cache := NewPlanCache(8)
 	q := cq.MustParseQuery("q(X, Y) :- e0(X, Y)")
 	tr := obs.New()
-	if _, err := CoreCover(q, vs, Options{Parallelism: 1, Cache: cache, Tracer: tr}); err != nil {
+	if _, err := CoreCover(q, vs, Options{Cache: cache, Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Counter(obs.CtrPlanCacheMiss) != 0 || tr.Counter(obs.CtrPlanCacheBypass) != 0 || cache.Len() != 0 {
@@ -253,7 +253,7 @@ func FuzzPlanCacheAlphaRenaming(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cat, err := CompileViews(vs, Options{Parallelism: 1})
+	cat, err := CompileViews(vs, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func FuzzPlanCacheAlphaRenaming(f *testing.F) {
 			t.Skip()
 		}
 		cache := NewPlanCache(16)
-		cold, err := CoreCover(q, nil, Options{Parallelism: 1, Catalog: cat, Cache: cache})
+		cold, err := CoreCover(q, nil, Options{Catalog: cat, Cache: cache})
 		if err != nil {
 			t.Skip() // e.g. too many subgoals after minimization
 		}
@@ -278,7 +278,7 @@ func FuzzPlanCacheAlphaRenaming(f *testing.F) {
 		}
 		twin := ren.Query(q)
 		tr := obs.New()
-		got, err := CoreCover(twin, nil, Options{Parallelism: 1, Catalog: cat, Cache: cache, Tracer: tr})
+		got, err := CoreCover(twin, nil, Options{Catalog: cat, Cache: cache, Tracer: tr})
 		if err != nil {
 			t.Fatalf("renamed twin errored: %v", err)
 		}
@@ -314,7 +314,7 @@ func FuzzPlanCacheAlphaRenaming(f *testing.F) {
 			return
 		}
 		trM := obs.New()
-		if _, err := CoreCover(mut, nil, Options{Parallelism: 1, Catalog: cat, Cache: cache, Tracer: trM}); err != nil {
+		if _, err := CoreCover(mut, nil, Options{Catalog: cat, Cache: cache, Tracer: trM}); err != nil {
 			return // constant may make it unsafe/unrewritable; only the hit matters
 		}
 		if trM.Counter(obs.CtrPlanCacheHit) != 0 {
@@ -351,7 +351,7 @@ func TestPlanCacheStripedCapacityAndEvictions(t *testing.T) {
 	for i := 0; i < distinct; i++ {
 		q := cq.MustParseQuery("q(A) :- e0(A, k" + itoa(i) + ")")
 		tr := obs.New()
-		if _, err := CoreCover(q, nil, Options{Parallelism: 1, Catalog: cat, Cache: cache, Tracer: tr}); err != nil {
+		if _, err := CoreCover(q, nil, Options{Catalog: cat, Cache: cache, Tracer: tr}); err != nil {
 			t.Fatal(err)
 		}
 		if tr.Counter(obs.CtrPlanCacheMiss) != 1 {

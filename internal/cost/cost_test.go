@@ -296,7 +296,7 @@ func TestFilteringViewImprovesM2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand := views.ComputeTuples(query, vset)
+	cand := views.ComputeTuples(query, vset, nil)
 	var filters []views.Tuple
 	for _, c := range cand {
 		if c.View.Name() == "v3" {

@@ -201,7 +201,7 @@ func TestQuickFiltersOnlyImprove(t *testing.T) {
 		if !ok {
 			return true
 		}
-		tuples := views.ComputeTuples(q, vs)
+		tuples := views.ComputeTuples(q, vs, nil)
 		if len(tuples) > 6 {
 			tuples = tuples[:6]
 		}

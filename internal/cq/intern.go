@@ -19,9 +19,9 @@ package cq
 // compiling a target costs two slice allocations instead of map churn.
 //
 // An Interner is not safe for concurrent mutation. Compiled search
-// structures that are shared across goroutines (the canonical-database
-// target of the parallel view-tuple fanout) intern everything at compile
-// time and use only the read-only Lookup methods afterwards.
+// structures that may be shared across goroutines (a compiled HomTarget)
+// intern everything at compile time and use only the read-only Lookup
+// methods afterwards.
 type Interner struct {
 	preds []string
 	terms []Term

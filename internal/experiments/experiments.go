@@ -240,7 +240,7 @@ func Run(cfg SweepConfig) ([]Point, error) {
 				gmrSize:     res.GMRSize(),
 				// "All view tuples" counts tuples from the full, ungrouped
 				// view set (the upper curve of Figures 7(b)/9(b)).
-				allTuples: len(views.ComputeTuples(res.MinimalQuery, inst.Views)),
+				allTuples: len(views.ComputeTuples(res.MinimalQuery, inst.Views, nil)),
 				stats:     res.PlanningStats,
 			}
 			if cfg.CostModel != 0 {
@@ -345,7 +345,6 @@ func planOne(cfg SweepConfig, inst *workload.Instance, qi int) (queryResult, err
 	req := viewplan.PlanRequest{
 		Model:         cfg.CostModel,
 		MaxRewritings: cfg.Options.MaxRewritings,
-		Parallelism:   cfg.Options.Parallelism,
 		Registry:      cfg.Registry,
 		Execute:       cfg.Execute,
 	}
@@ -506,7 +505,6 @@ func TraceRun(cfg SweepConfig, w io.Writer) error {
 			req := viewplan.PlanRequest{
 				Model:         cfg.CostModel,
 				MaxRewritings: cfg.Options.MaxRewritings,
-				Parallelism:   cfg.Options.Parallelism,
 				Tracer:        ptr,
 				Registry:      cfg.Registry,
 			}

@@ -37,7 +37,8 @@ var FrozenWrite = &analysis.Analyzer{
 // structurally (package name + type name) so fixtures can stand in.
 // Catalog is the resident view catalog (shared via atomic.Pointer);
 // HomTarget is the compiled containment target ("immutable after
-// NewHomTarget returns", shared through the target pool and HomCache);
+// NewHomTarget returns", shared through the target pool and every
+// BatchProber probing it);
 // rendering is the service's memoized answer (shared via sync.Map).
 var frozenTypes = []struct{ pkg, typ string }{
 	{"corecover", "Catalog"},

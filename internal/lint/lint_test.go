@@ -168,11 +168,10 @@ func TestStaleDirective(t *testing.T) {
 	}
 }
 
-// TestInternMixShardIndexes pins the sharded cover search's index
-// discipline: shard-local dense subgoal indexes and their local-to-
-// global remapping are plain positional integers the analyzer stays
-// silent on, while catalog-interned predicate ids (the candidate
-// prefilter's currency) remain guarded across catalog generations.
+// TestInternMixShardIndexes pins the candidate prefilter's id
+// discipline (the name predates the single planning pipeline):
+// catalog-interned predicate ids resolve against the catalog that minted
+// them and stay guarded across catalog generations.
 func TestInternMixShardIndexes(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.InternMix, "internmix_shard")
 }

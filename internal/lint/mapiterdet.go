@@ -13,7 +13,7 @@ import (
 // packages. Go randomizes map iteration order per run, so any map range
 // on a result-producing path is a reproducibility bug: CoreCover's
 // byte-identical-Result guarantee (DESIGN §8) and the canonical forms
-// keying HomCache/IRCache both die by a thousand such cuts.
+// keying PlanCache/IRCache both die by a thousand such cuts.
 //
 // A map range passes without annotation only when the analyzer can see
 // that iteration order cannot leak:

@@ -1,61 +1,14 @@
 // The internmix_shard fixture pins the analyzer's behavior on the
-// sharded cover search's index spaces. Shard components remap LOCAL
-// dense subgoal indexes (bitset positions private to one component's
-// universe) to GLOBAL cover indexes with plain integer arithmetic —
-// deliberate, analyzer-silent translation: these are positional
-// indexes, not interner ids, and no owner mints them. What stays
-// flagged is the real boundary: a catalog-interned predicate id (the
-// candidate prefilter's currency) resolved against a different catalog.
+// view-tuple candidate prefilter's id space (the directory name predates
+// the single planning pipeline, whose prefilter this was first built
+// for). The prefilter's currency is the catalog-interned predicate id:
+// resolving one against the catalog that minted it is legitimate;
+// resolving or comparing it against a different catalog — a successor
+// generation's vocabulary is a different id space — is the bug the
+// boundary exists for.
 package shard
 
 import "corecover"
-
-// component is the stand-in shard: local set indexes 0..len(global)-1,
-// with global[i] the planner-wide cover index local i stands for.
-type component struct {
-	global []int
-	sets   []uint64
-}
-
-// remap translates a local cover in place to global indexes — the
-// merge step's idiom. Plain index translation through a slice lookup;
-// nothing for the analyzer here.
-func (c *component) remap(cover []int) []int {
-	for i, local := range cover {
-		cover[i] = c.global[local]
-	}
-	return cover
-}
-
-// localLowest scans a local bitset universe. Local bit positions are
-// compared and converted freely: they are not interned ids.
-func (c *component) localLowest(mask uint64) int {
-	for i := 0; i < 64; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-// interleave merges two components' covers by comparing their GLOBAL
-// indexes — again plain ints, analyzer-silent.
-func interleave(a, b *component, ca, cb []int) []int {
-	ga, gb := a.remap(ca), b.remap(cb)
-	out := make([]int, 0, len(ga)+len(gb))
-	i, j := 0, 0
-	for i < len(ga) && j < len(gb) {
-		if ga[i] < gb[j] {
-			out = append(out, ga[i])
-			i++
-		} else {
-			out = append(out, gb[j])
-			j++
-		}
-	}
-	out = append(out, ga[i:]...)
-	return append(out, gb[j:]...)
-}
 
 // prefilter is the candidate filter's legitimate shape: predicate ids
 // minted by a catalog are resolved against that same catalog.
@@ -84,9 +37,9 @@ func crossCatalogPrefilter(cat *corecover.Catalog, viewPred string) string {
 	return next.PredName(id) // want `ids are private to one interner`
 }
 
-// shardOwnersCompared mixes the two id spaces with a comparison: a
+// ownersCompared mixes the two id spaces with a comparison: a
 // catalog-interned id against another catalog's.
-func shardOwnersCompared(a, b *corecover.Catalog, name string) bool {
+func ownersCompared(a, b *corecover.Catalog, name string) bool {
 	ida, _ := a.LookupPred(name)
 	idb, _ := b.LookupPred(name)
 	return ida == idb // want `comparing interned ids from different interners`

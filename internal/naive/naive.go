@@ -27,7 +27,7 @@ func GMRs(q *cq.Query, vs *views.Set, opts Options) ([]*cq.Query, error) {
 		return nil, err
 	}
 	minQ := containment.Minimize(q)
-	tuples := views.ComputeTuples(minQ, vs)
+	tuples := views.ComputeTuples(minQ, vs, nil)
 	n := len(minQ.Body)
 	if len(tuples) < 1 {
 		return nil, nil

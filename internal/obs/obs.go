@@ -32,18 +32,13 @@ import (
 // Phase names used by the planner pipeline. Instrumented code may use
 // any string, but sharing these keeps snapshots and tools consistent.
 const (
-	PhaseCoreCover    = "corecover"
-	PhaseMinimize     = "minimize"
-	PhaseViewGrouping = "view-grouping"
-	PhaseViewTuples   = "view-tuples"
-	PhaseTupleCores   = "tuple-cores"
-	PhaseCoverSearch  = "cover-search"
-	PhaseVerify       = "verify"
-	// PhaseParallelFanout wraps a region where the planner fans work out
-	// across its worker pool (per-view tuple computation, batched cover
-	// verification). Workers never open spans themselves — the coordinator
-	// owns the span and workers report through atomic counters only.
-	PhaseParallelFanout  = "parallel-fanout"
+	PhaseCoreCover       = "corecover"
+	PhaseMinimize        = "minimize"
+	PhaseViewGrouping    = "view-grouping"
+	PhaseViewTuples      = "view-tuples"
+	PhaseTupleCores      = "tuple-cores"
+	PhaseCoverSearch     = "cover-search"
+	PhaseVerify          = "verify"
 	PhaseAssemble        = "assemble"
 	PhaseM2Optimizer     = "m2-optimizer"
 	PhaseM3Optimizer     = "m3-optimizer"
@@ -97,12 +92,6 @@ const (
 	CtrFilterCandidates
 	// CtrFiltersAdded counts filter literals that lowered the cost.
 	CtrFiltersAdded
-	// CtrHomCacheHit counts containment checks answered from the
-	// hom-memoization cache without a homomorphism search.
-	CtrHomCacheHit
-	// CtrHomCacheMiss counts containment checks that fell through the
-	// cache to a real search (including uncacheable queries).
-	CtrHomCacheMiss
 	// CtrJoinProbeRows counts candidate rows pulled from join-index
 	// buckets by the engine's hash-join kernel (probe-side work, before
 	// constant and repeated-variable filtering).
@@ -125,10 +114,6 @@ const (
 	// time plus forward-checking kills when a fresh binding contradicts a
 	// future source atom's candidate.
 	CtrHomPrunes
-	// CtrCanonicalKeyBuilds counts cq.ExactCanonicalKey computations
-	// performed for hom-cache keying (cache hits on a per-query key
-	// cache do not count).
-	CtrCanonicalKeyBuilds
 	// CtrPlanCacheHit counts planning requests answered from the plan
 	// cache without running the CoreCover pipeline.
 	CtrPlanCacheHit
@@ -143,11 +128,6 @@ const (
 	// body or built-in comparisons) or uses the planner's reserved
 	// variable namespace.
 	CtrPlanCacheBypass
-	// CtrCoverShards counts the connected universe components the
-	// sharded cover search decomposed a run's cover family into
-	// (Options.CoverShards > 0; the legacy undecomposed search never
-	// ticks it).
-	CtrCoverShards
 	// CtrBatchedProbes counts view-tuple homomorphism probes evaluated
 	// through a pooled batch frame instead of a per-view kernel setup.
 	CtrBatchedProbes
@@ -164,40 +144,36 @@ const (
 )
 
 var counterNames = [NumCounters]string{
-	CtrViewTuples:         "view_tuples",
-	CtrTupleCores:         "tuple_cores",
-	CtrEmptyCores:         "empty_cores",
-	CtrCoverNodes:         "cover_nodes",
-	CtrCoverPruned:        "cover_pruned",
-	CtrCoversFound:        "covers_found",
-	CtrVerifyChecks:       "verify_checks",
-	CtrVerifyAccepted:     "verify_accepted",
-	CtrRewritings:         "rewritings",
-	CtrHomSearches:        "hom_searches",
-	CtrHomsFound:          "homs_found",
-	CtrJoinSteps:          "join_steps",
-	CtrJoinRows:           "join_rows",
-	CtrOptStates:          "opt_states",
-	CtrOptOrders:          "opt_orders",
-	CtrFilterCandidates:   "filter_candidates",
-	CtrFiltersAdded:       "filters_added",
-	CtrHomCacheHit:        "hom_cache_hits",
-	CtrHomCacheMiss:       "hom_cache_misses",
-	CtrJoinProbeRows:      "join_probe_rows",
-	CtrIRCacheHit:         "ir_cache_hits",
-	CtrIRCacheMiss:        "ir_cache_misses",
-	CtrUnknownPreds:       "unknown_predicates",
-	CtrHomBacktracks:      "hom_backtracks",
-	CtrHomPrunes:          "hom_prunes",
-	CtrCanonicalKeyBuilds: "canonical_key_builds",
-	CtrPlanCacheHit:       "plan_cache_hits",
-	CtrPlanCacheMiss:      "plan_cache_misses",
-	CtrPlanCacheEvict:     "plan_cache_evictions",
-	CtrPlanCacheBypass:    "plan_cache_bypass",
-	CtrCoverShards:        "cover_shards",
-	CtrBatchedProbes:      "batched_probes",
-	CtrStreamJoins:        "stream_joins",
-	CtrStreamedRows:       "streamed_rows",
+	CtrViewTuples:       "view_tuples",
+	CtrTupleCores:       "tuple_cores",
+	CtrEmptyCores:       "empty_cores",
+	CtrCoverNodes:       "cover_nodes",
+	CtrCoverPruned:      "cover_pruned",
+	CtrCoversFound:      "covers_found",
+	CtrVerifyChecks:     "verify_checks",
+	CtrVerifyAccepted:   "verify_accepted",
+	CtrRewritings:       "rewritings",
+	CtrHomSearches:      "hom_searches",
+	CtrHomsFound:        "homs_found",
+	CtrJoinSteps:        "join_steps",
+	CtrJoinRows:         "join_rows",
+	CtrOptStates:        "opt_states",
+	CtrOptOrders:        "opt_orders",
+	CtrFilterCandidates: "filter_candidates",
+	CtrFiltersAdded:     "filters_added",
+	CtrJoinProbeRows:    "join_probe_rows",
+	CtrIRCacheHit:       "ir_cache_hits",
+	CtrIRCacheMiss:      "ir_cache_misses",
+	CtrUnknownPreds:     "unknown_predicates",
+	CtrHomBacktracks:    "hom_backtracks",
+	CtrHomPrunes:        "hom_prunes",
+	CtrPlanCacheHit:     "plan_cache_hits",
+	CtrPlanCacheMiss:    "plan_cache_misses",
+	CtrPlanCacheEvict:   "plan_cache_evictions",
+	CtrPlanCacheBypass:  "plan_cache_bypass",
+	CtrBatchedProbes:    "batched_probes",
+	CtrStreamJoins:      "stream_joins",
+	CtrStreamedRows:     "streamed_rows",
 }
 
 // String returns the counter's snake_case snapshot key.
@@ -259,7 +235,7 @@ func (s *CounterSet) Reset() {
 // per-run tracer (package containment's homomorphism search). Per-run
 // attribution happens by delta: sample Global before a run and call
 // Tracer.AbsorbGlobal after. Concurrent runs each absorb whatever
-// landed in the window, so deltas can mix under parallelism; totals
+// landed in the window, so deltas can mix under concurrent requests; totals
 // stay exact.
 var Global CounterSet
 
@@ -457,8 +433,8 @@ type PhaseStats struct {
 	// included (total time).
 	Nanos int64 `json:"nanos"`
 	// SelfNanos is Nanos minus the time accumulated in child spans:
-	// the time spent in this phase itself. When a phase recurses (the
-	// parallel fanout re-entering cover-search, say), summing Nanos
+	// the time spent in this phase itself. When a phase recurses (a
+	// same-named span opened under itself), summing Nanos
 	// across same-named nodes double-counts the nested invocations;
 	// SelfNanos sums to the true wall time, so flattened by-name
 	// aggregations (experiments points, the Registry) must use it.

@@ -260,8 +260,8 @@ func TestCounterNames(t *testing.T) {
 }
 
 // Self time must exclude child time, so flattened by-name sums don't
-// double-count recursing phases (the parallel fanout re-entering
-// cover-search).
+// double-count recursing phases (a span opened under one of the same
+// name).
 func TestSelfTimeSeparatesRecursion(t *testing.T) {
 	tr := New()
 	outer := tr.Start(PhaseCoverSearch)

@@ -25,15 +25,6 @@ type Config struct {
 	Views *viewplan.ViewSet
 	// CacheSize bounds the plan cache (entries; <= 0 disables caching).
 	CacheSize int
-	// Parallelism is passed through to every planning run (0 =
-	// GOMAXPROCS, 1 = sequential).
-	Parallelism int
-	// CoverShards switches every planning run onto the sharded cover
-	// search (candidate prefilter, batched probes, component-decomposed
-	// cover enumeration — the large-catalog pipeline). 0 keeps the
-	// legacy planner. Results are byte-identical either way; see
-	// viewplan.Options.CoverShards.
-	CoverShards int
 }
 
 // Server is a resident planner. One compiled catalog is shared by all
@@ -43,10 +34,8 @@ type Config struct {
 // world. The plan cache is shared across generations — its keys embed
 // the catalog generation, so a swap invalidates without purging.
 type Server struct {
-	reg    *obs.Registry
-	cache  *viewplan.PlanCache
-	par    int
-	shards int
+	reg   *obs.Registry
+	cache *viewplan.PlanCache
 
 	// mu serializes AddView/RemoveView so concurrent mutations chain
 	// (each starts from the other's result) instead of racing the swap
@@ -92,15 +81,13 @@ type rendering struct {
 
 // New compiles the initial catalog and returns a ready server.
 func New(cfg Config) (*Server, error) {
-	cat, err := viewplan.CompileViews(cfg.Views, viewplan.Options{Parallelism: cfg.Parallelism})
+	cat, err := viewplan.CompileViews(cfg.Views, viewplan.Options{})
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		reg:       viewplan.NewRegistry(),
 		cache:     viewplan.NewPlanCache(cfg.CacheSize),
-		par:       cfg.Parallelism,
-		shards:    cfg.CoverShards,
 		renderCap: 4 * int64(cfg.CacheSize),
 	}
 	s.cat.Store(cat)
@@ -171,11 +158,9 @@ func (s *Server) Plan(req PlanRequest) (*PlanResponse, error) {
 	}
 	tr := viewplan.NewTracer()
 	opts := viewplan.Options{
-		Parallelism: s.par,
-		CoverShards: s.shards,
-		Tracer:      tr,
-		Catalog:     cat,
-		Cache:       s.cache,
+		Tracer:  tr,
+		Catalog: cat,
+		Cache:   s.cache,
 	}
 	start := time.Now() //viewplan:nondet-ok LatencyNanos is telemetry, not a planning output; the Result itself stays deterministic
 	var res *viewplan.Result

@@ -26,7 +26,7 @@ func newTestServer(t *testing.T) (*service.Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := service.New(service.Config{Views: vs, CacheSize: 16, Parallelism: 1})
+	srv, err := service.New(service.Config{Views: vs, CacheSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestServiceStarMatchesDirectPlanning(t *testing.T) {
 	q := "q(X, Y, Z) :- e1(X, Y), e2(X, Z)"
 	var plan service.PlanResponse
 	post(t, ts.URL+"/plan", fmt.Sprintf(`{"query": %q, "star": true}`, q), &plan)
-	want, err := viewplan.FindMinimalRewritingsWith(viewplan.MustParseQuery(q), srv.Catalog().Views(), viewplan.Options{Parallelism: 1})
+	want, err := viewplan.FindMinimalRewritingsWith(viewplan.MustParseQuery(q), srv.Catalog().Views(), viewplan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

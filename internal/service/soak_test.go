@@ -86,7 +86,7 @@ func runCacheSoak(t *testing.T, cacheSize, perWork int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := service.New(service.Config{Views: inst.Views, CacheSize: cacheSize, Parallelism: 1})
+	srv, err := service.New(service.Config{Views: inst.Views, CacheSize: cacheSize})
 	if err != nil {
 		t.Fatal(err)
 	}

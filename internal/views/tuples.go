@@ -2,8 +2,6 @@ package views
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"viewplan/internal/containment"
 	"viewplan/internal/cq"
@@ -61,110 +59,38 @@ func (t Tuple) Expansion(gen *cq.FreshGen) (body []cq.Atom, existentials []cq.Va
 // exact duplicates removed per view (Section 3.3). The query should
 // already be minimized; callers that start from a raw query minimize
 // first (CoreCover step 1).
-func ComputeTuples(q *cq.Query, s *Set) []Tuple {
-	return ComputeTuplesN(q, s, 1)
-}
-
-// ComputeTuplesN is ComputeTuples with the per-view homomorphism
-// enumeration fanned out across a bounded worker pool. Views are
-// independent — each view's tuples come from evaluating its definition
-// alone over the shared, read-only canonical database — so workers claim
-// view indexes and the results are concatenated in view order, making the
-// output identical to the sequential path for every parallelism setting.
-// parallelism <= 1 runs inline with no goroutines or synchronization.
-func ComputeTuplesN(q *cq.Query, s *Set, parallelism int) []Tuple {
-	db := containment.FreezeQuery(q)
-	if parallelism > len(s.Views) {
-		parallelism = len(s.Views)
-	}
-	if parallelism <= 1 {
-		var out []Tuple
-		for _, v := range s.Views {
-			out = appendViewTuples(out, db, v)
-		}
-		return out
-	}
-	perView := make([][]Tuple, len(s.Views))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.Views) {
-					return
-				}
-				perView[i] = appendViewTuples(nil, db, s.Views[i])
-			}
-		}()
-	}
-	wg.Wait()
-	var out []Tuple
-	for _, ts := range perView {
-		out = append(out, ts...)
-	}
-	return out
-}
-
-// ComputeTuplesBatched computes T(Q, V) with the two optimizations the
-// sharded planner runs on for massive view sets. Views for which
-// candidate reports false are skipped outright — callers pass a
-// predicate-coverage test (a view whose body mentions a predicate the
-// minimized query never uses has no homomorphism into the canonical
-// database, so it contributes no tuples), turning the per-view kernel
-// setup for 20k mostly-irrelevant views into a bitmap check each. The
-// surviving candidates are probed through one pooled batch frame per
-// worker (containment.BatchProber) instead of a pool round-trip per
-// view. A nil candidate probes every view.
 //
-// The output is identical to ComputeTuplesN's for any sound candidate
-// function: skipped views contribute no tuples there either, per-view
-// enumeration order is unchanged, and per-view slices concatenate in
-// view order.
-func ComputeTuplesBatched(q *cq.Query, s *Set, parallelism int, candidate func(i int) bool) []Tuple {
-	db := containment.FreezeQuery(q)
-	cands := make([]int, 0, len(s.Views))
-	for i := range s.Views {
-		if candidate == nil || candidate(i) {
-			cands = append(cands, i)
-		}
-	}
-	if parallelism > len(cands) {
-		parallelism = len(cands)
-	}
-	if parallelism <= 1 {
-		p := containment.NewBatchProber(db)
-		var out []Tuple
-		for _, i := range cands {
-			out = appendViewTuplesBatch(out, db, p, s.Views[i])
-		}
-		p.Close()
-		return out
-	}
-	perView := make([][]Tuple, len(cands))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := containment.NewBatchProber(db)
-			defer p.Close()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
+// Views for which candidate reports false are skipped before any
+// homomorphism probe. A sound candidate is a predicate-coverage test: a
+// view whose body mentions a predicate the query never uses has no
+// homomorphism into the canonical database, so it contributes no tuples,
+// and deciding that from a predicate set costs far less than the per-view
+// kernel setup when most of a large view set is irrelevant to the query.
+// A nil candidate runs that test over a per-call set of the query's
+// predicate names; a resident catalog passes the same test over its
+// precompiled interned ids. The surviving views are probed through one
+// pooled batch frame (containment.BatchProber) instead of a pool
+// round-trip per view.
+func ComputeTuples(q *cq.Query, s *Set, candidate func(i int) bool) []Tuple {
+	if candidate == nil {
+		inQ := q.Preds()
+		candidate = func(i int) bool {
+			for _, a := range s.Views[i].Def.Body {
+				if _, ok := inQ[a.Pred]; !ok {
+					return false
 				}
-				perView[i] = appendViewTuplesBatch(nil, db, p, s.Views[cands[i]])
 			}
-		}()
+			return true
+		}
 	}
-	wg.Wait()
+	db := containment.FreezeQuery(q)
+	p := containment.NewBatchProber(db)
+	defer p.Close()
 	var out []Tuple
-	for _, ts := range perView {
-		out = append(out, ts...)
+	for i, v := range s.Views {
+		if candidate(i) {
+			out = appendViewTuples(out, db, p, v)
+		}
 	}
 	return out
 }
@@ -174,40 +100,14 @@ func ComputeTuplesBatched(q *cq.Query, s *Set, parallelism int, candidate func(i
 // distinct Tuple.View pointers), so deduplication scans only the entries
 // appended for this view.
 //
-// Answers stream straight out of the database and are deduplicated in
-// their frozen form, so the many candidate homomorphisms that reproduce
-// an already-seen tuple cost no allocation at all; the argument copy and
-// the thaw (which boxes each variable into a cq.Term) happen only for
-// answers that are kept. Deduplicating before thawing is sound because
-// freezing — and hence thawing — is injective on terms.
-func appendViewTuples(dst []Tuple, db *containment.CanonicalDB, v *View) []Tuple {
+// Answers stream straight out of the prober's frame and are deduplicated
+// in their frozen form, so the many candidate homomorphisms that
+// reproduce an already-seen tuple cost no allocation at all; the argument
+// copy and the thaw (which boxes each variable into a cq.Term) happen
+// only for answers that are kept. Deduplicating before thawing is sound
+// because freezing — and hence thawing — is injective on terms.
+func appendViewTuples(dst []Tuple, db *containment.CanonicalDB, p *containment.BatchProber, v *View) []Tuple {
 	var kept [][]cq.Term // frozen args of the tuples kept for this view
-	db.EvaluateFunc(v.Def, func(frozen []cq.Term) bool {
-	candidates:
-		for _, prev := range kept {
-			for i := range frozen {
-				if prev[i] != frozen[i] {
-					continue candidates
-				}
-			}
-			return true // duplicate of an earlier homomorphism's answer
-		}
-		kept = append(kept, append([]cq.Term(nil), frozen...))
-		args := make([]cq.Term, len(frozen))
-		for i, t := range frozen {
-			args[i] = db.ThawTerm(t)
-		}
-		dst = append(dst, Tuple{View: v, Atom: cq.Atom{Pred: v.Def.Head.Pred, Args: args}})
-		return true
-	})
-	return dst
-}
-
-// appendViewTuplesBatch is appendViewTuples through a batch prober: the
-// same per-view dedup-in-frozen-form and thaw-on-keep, with the
-// homomorphism search running in the prober's claimed frame.
-func appendViewTuplesBatch(dst []Tuple, db *containment.CanonicalDB, p *containment.BatchProber, v *View) []Tuple {
-	var kept [][]cq.Term
 	p.Evaluate(v.Def, func(frozen []cq.Term) bool {
 	candidates:
 		for _, prev := range kept {
@@ -216,7 +116,7 @@ func appendViewTuplesBatch(dst []Tuple, db *containment.CanonicalDB, p *containm
 					continue candidates
 				}
 			}
-			return true
+			return true // duplicate of an earlier homomorphism's answer
 		}
 		kept = append(kept, append([]cq.Term(nil), frozen...))
 		args := make([]cq.Term, len(frozen))

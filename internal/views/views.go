@@ -214,9 +214,7 @@ func (s *Set) Expand(p *cq.Query) (*cq.Query, error) {
 
 // IsEquivalentRewriting reports whether p is an equivalent rewriting of q
 // using this view set (Definition 2.3): p uses only view predicates and
-// p^exp ≡ q. The check is memoizable: the verdict is invariant under
-// renaming p's variables, which the cover-search verifier exploits by
-// caching it under p's canonical key (containment.HomCache.DecidePair).
+// p^exp ≡ q.
 func (s *Set) IsEquivalentRewriting(p, q *cq.Query) bool {
 	for _, sub := range p.Body {
 		if s.ByName(sub.Pred) == nil {

@@ -126,7 +126,7 @@ func TestIsEquivalentRewriting(t *testing.T) {
 func TestComputeTuplesCarLocPart(t *testing.T) {
 	s := mustSet(t, carLocPartViews)
 	q := cq.MustParseQuery(carLocPartQuery)
-	tuples := ComputeTuples(q, s)
+	tuples := ComputeTuples(q, s, nil)
 	want := map[string]bool{
 		"v1(M, a, C)":    false,
 		"v2(S, M, C)":    false,
@@ -159,7 +159,7 @@ func TestComputeTuplesExample41(t *testing.T) {
 		v2(C, D) :- a(C, E), b(C, D).
 	`)
 	q := cq.MustParseQuery("q(X, Y) :- a(X, Z), a(Z, Z), b(Z, Y)")
-	tuples := ComputeTuples(q, s)
+	tuples := ComputeTuples(q, s, nil)
 	got := make(map[string]bool)
 	for _, tp := range tuples {
 		got[tp.Atom.String()] = true
@@ -177,7 +177,7 @@ func TestComputeTuplesExample41(t *testing.T) {
 func TestTupleExpansion(t *testing.T) {
 	s := mustSet(t, carLocPartViews)
 	q := cq.MustParseQuery(carLocPartQuery)
-	tuples := ComputeTuples(q, s)
+	tuples := ComputeTuples(q, s, nil)
 	var v3t *Tuple
 	for i := range tuples {
 		if tuples[i].View.Name() == "v3" {

@@ -23,10 +23,6 @@ type PlanRequest struct {
 	// MaxRewritings caps the rewritings considered (0 = all minimal
 	// rewritings from CoreCover*).
 	MaxRewritings int
-	// Parallelism bounds the rewriting generator's worker pool (0 =
-	// GOMAXPROCS, 1 = strictly sequential). The chosen plan is identical
-	// for every setting; see Options.Parallelism.
-	Parallelism int
 	// Tracer, when non-nil, observes the whole pipeline — rewriting
 	// generation, join-order optimization, and filter selection — and
 	// PlanResult.Stats carries its snapshot. The tracer is attached to
@@ -101,7 +97,6 @@ func PlanQuery(db *Database, q *Query, vs *ViewSet, req PlanRequest) (*PlanResul
 	}
 	opts := corecover.Options{
 		MaxRewritings: req.MaxRewritings,
-		Parallelism:   req.Parallelism,
 		Tracer:        req.Tracer,
 		Catalog:       req.Catalog,
 		Cache:         req.Cache,

@@ -20,18 +20,15 @@
 //	    fmt.Println(p) // q(S, C) :- v1(M, a, C), v2(S, M, C)
 //	}
 //
-// # Parallelism
+// # Concurrency
 //
-// The rewriting generator fans its two hot phases — per-view tuple
-// computation and per-cover verification — across a bounded worker pool.
-// Options.Parallelism (and PlanRequest.Parallelism) set the bound: 0
-// sizes the pool to GOMAXPROCS, 1 runs strictly sequentially with no
-// goroutines. Every setting produces an identical Result — workers
-// collect into index-addressed slots and the pipeline reassembles them
-// deterministically — so parallelism is purely a latency knob. Repeated
-// containment checks inside verification are memoized in a per-run,
-// worker-shared cache; the hom_cache_hits / hom_cache_misses counters in
-// PlanningStats report its effectiveness.
+// One planning request is one sequential pass on the calling goroutine:
+// minimize, view tuples (a predicate-coverage prefilter, then one pooled
+// probe frame), tuple-cores, cover search, verification. There is no
+// per-request worker pool and no knob for one — the measured fan-outs
+// lost to the sequential pass (DESIGN.md §8) — so every entry point is
+// deterministic and safe to call from many goroutines at once; run
+// requests concurrently (as cmd/planserve does) to use more cores.
 //
 // # Observability
 //
@@ -67,8 +64,7 @@
 // generations, which the cache's keys embed, so view mutations
 // invalidate without purging. Results served from the cache are
 // byte-identical to cold runs (a guarantee the cache-differential
-// tests pin across a corpus, at every parallelism, and across
-// interleaved mutations). cmd/planserve serves this pair over
+// tests pin across a corpus and across interleaved mutations). cmd/planserve serves this pair over
 // HTTP/JSON with hit/miss/eviction counters in a Registry, and
 // cmd/servebench measures it under sustained concurrent traffic.
 //
@@ -300,7 +296,7 @@ func Minimize(q *Query) *Query { return containment.Minimize(q) }
 // ViewTuples computes T(Q, V), the view tuples of q given the views
 // (Section 3.3).
 func ViewTuples(q *Query, vs *ViewSet) []ViewTuple {
-	return views.ComputeTuples(containment.Minimize(q), vs)
+	return views.ComputeTuples(containment.Minimize(q), vs, nil)
 }
 
 // NewDatabase creates an empty in-memory database. Load base facts with
@@ -390,9 +386,8 @@ func EstimateBestOrderM2(cat StatsCatalog, p *Query) ([]int, float64, error) {
 // CompileViews compiles a view set into a resident ViewCatalog: view
 // validation, the per-view definition keys, the Section 5.2 equivalence
 // classes, and the representative subset computed once and reused by
-// every request that attaches the catalog. opts contributes Parallelism
-// (key computation fans out) and Tracer; planning-time fields are
-// ignored.
+// every request that attaches the catalog. opts is accepted for symmetry
+// with the planning entry points; no field of it affects the compile.
 func CompileViews(vs *ViewSet, opts Options) (*ViewCatalog, error) {
 	return corecover.CompileViews(vs, opts)
 }
