@@ -1,9 +1,10 @@
 # viewplan build targets. `make check` is the fast pre-commit gate
 # (vet + viewplanlint + race-enabled obs/corecover tests); `make lint`
 # runs just the repo's analyzer suite; `make test` is the full suite;
-# `make bench` runs the engine allocation gate (Fig. 6a M2 planning,
-# allocs/op diffed against scripts/bench_engine_baseline.txt, >10%
-# regression fails); `make benchall` runs every benchmark; `make
+# `make bench` runs the planner allocation gate (Fig. 6a CoreCover
+# planning, allocs/op diffed against scripts/bench_planner_baseline.txt,
+# >10% regression fails; the engine-backed M2 gate is the plain test
+# TestM2PlanningAllocs in internal/cost); `make benchall` runs every benchmark; `make
 # serve-bench` gates the resident service: the warm-request allocation
 # gate (scripts/bench_service.sh) plus the QPS harness, which writes
 # BENCH_service.json and fails unless warm p50/p99 beat the cold p50 by

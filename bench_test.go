@@ -375,9 +375,9 @@ func m2PlanFixture(b *testing.B, numViews int) (*viewplan.Database, *workload.In
 // rewriting generation plus the engine-backed subset-lattice optimizer
 // and filter selection, end to end. The candidate count is capped (the
 // per-candidate engine work is what is being measured; uncapped counts
-// grow super-linearly in the view count and only repeat it). This is the
-// engine-heavy benchmark the `make bench` regression gate watches
-// (scripts/bench_engine.sh).
+// grow super-linearly in the view count and only repeat it). The
+// views=100 instance is the one TestM2PlanningAllocs (internal/cost)
+// gates on allocs/op.
 func BenchmarkFig6aStarM2(b *testing.B) {
 	for _, nv := range []int{100, 200} {
 		b.Run(fmt.Sprintf("views=%d", nv), func(b *testing.B) {

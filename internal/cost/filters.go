@@ -47,11 +47,13 @@ func ImproveWithFilters(db *engine.Database, p, q *cq.Query, vs *views.Set, cand
 			if !vs.IsEquivalentRewriting(ext, q) {
 				continue
 			}
-			plan, err := BestPlanM2(db, ext)
+			// Only a strictly cheaper extension is kept, so the current
+			// plan's cost bounds the search.
+			plan, err := BestPlanM2Below(db, ext, res.Plan.Cost)
 			if err != nil {
 				return nil, err
 			}
-			if plan.Cost < res.Plan.Cost {
+			if plan != nil {
 				res.Rewriting = ext
 				res.Plan = plan
 				res.Added = append(res.Added, cand.Atom.Clone())

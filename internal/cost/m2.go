@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -30,7 +31,14 @@ func newMaskKeyer(body []cq.Atom) *maskKeyer {
 }
 
 func (k *maskKeyer) key(mask int) string {
+	size := len("m2")
+	for i, a := range k.atoms {
+		if mask&(1<<uint(i)) != 0 {
+			size += 1 + len(a)
+		}
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString("m2")
 	for _, i := range k.sorted {
 		if mask&(1<<uint(i)) != 0 {
@@ -103,23 +111,47 @@ func PlanM2(db *engine.Database, p *cq.Query, order []int) (*Plan, error) {
 	return plan, nil
 }
 
-// maxDPSubgoals bounds the subset dynamic program (2^n intermediate
-// relations are materialized).
+// maxDPSubgoals bounds the subset search: its per-state bookkeeping
+// (distance, predecessor, memoized size) is allocated for all 2^n
+// subsets up front, though only the states the search reaches are ever
+// counted and far fewer are materialized.
 const maxDPSubgoals = 16
 
-// BestPlanM2 finds a minimum-cost M2 plan for rewriting p over db.
+// BestPlanM2 finds a minimum-cost M2 plan for rewriting p over db: the
+// search of BestPlanM2Below with no bound.
+func BestPlanM2(db *engine.Database, p *cq.Query) (*Plan, error) {
+	plan, err := BestPlanM2Below(db, p, math.MaxInt)
+	if err == nil && plan == nil {
+		err = fmt.Errorf("cost: internal error: full join unreachable")
+	}
+	return plan, err
+}
+
+// BestPlanM2Below finds a minimum-cost M2 plan for rewriting p over db
+// among the plans that cost less than bound; it returns a nil plan when
+// there is none. PlanQuery and ImproveWithFilters pass the cost of the
+// best plan they hold, so a candidate that cannot replace it is given up
+// after its view-size sum or a few bounded counts.
 //
 // Because IR_i retains all attributes, it is the natural join of the
-// *set* of subgoals processed so far — independent of their order. The
-// view-size term Σ size(g_i) is likewise order-independent. The optimizer
-// therefore minimizes Σ size(IR_S) over chains ∅ ⊂ S_1 ⊂ ... ⊂ S_n with a
-// best-first (Dijkstra) search over the subset lattice: step weights
-// (size(g) + size(IR_target)) are nonnegative, so the first time the full
-// set is popped its chain is optimal. Cross-product subsets get enormous
-// intermediate sizes and are relaxed but never expanded, which keeps the
-// search from materializing the exponential blowup an eager subset DP
-// would hit.
-func BestPlanM2(db *engine.Database, p *cq.Query) (*Plan, error) {
+// *set* of subgoals processed so far — independent of their order — and
+// the view-size term Σ size(g_i) is the same for every order. The
+// optimizer therefore minimizes Σ size(IR_S) over chains ∅ ⊂ S_1 ⊂ ... ⊂
+// S_n with a best-first search over the subset lattice whose edge weight
+// is size(IR_target) alone. That is A* on the M2 cost with the view
+// sizes still to be paid as the heuristic (exact, so admissible and
+// consistent): the constant Σ size(g_i) drops out of the ordering, and
+// the first time the full set is popped its chain is optimal.
+//
+// The search needs sizes, not rows. An edge is relaxed with
+// engine.JoinCount, limited to what is left of the bound, and an exact
+// count is memoized in the IR cache under the subset's canonical key, so
+// rewritings sharing view tuples share counts. A subset's relation is
+// materialized only when a successor of it has to be counted, along the
+// chain the search settled for it. Cross-product subsets get enormous
+// sizes and are counted but never materialized, which keeps the search
+// from building the exponential blowup an eager subset DP would hit.
+func BestPlanM2Below(db *engine.Database, p *cq.Query, bound int) (*Plan, error) {
 	n := len(p.Body)
 	if n == 0 {
 		return nil, fmt.Errorf("cost: empty rewriting body")
@@ -130,34 +162,95 @@ func BestPlanM2(db *engine.Database, p *cq.Query) (*Plan, error) {
 	tr := db.Tracer()
 	sp := tr.Start(obs.PhaseM2Optimizer)
 	defer sp.End()
-	var states int64
-	defer func() { tr.Add(obs.CtrOptStates, states) }()
 	sizes, err := viewSizes(db, p)
 	if err != nil {
 		return nil, err
 	}
+	// A plan costs Σ size(g_i) + Σ size(IR_i): it beats the bound exactly
+	// when its intermediate relations sum to less than irBound.
+	irBound := bound
+	for _, s := range sizes {
+		irBound -= s
+	}
+	if irBound <= 0 {
+		return nil, nil
+	}
 
-	total := 1 << uint(n)
-	full := total - 1
-	var keyer *maskKeyer
+	s := m2Search{
+		db:     db,
+		body:   p.Body,
+		rels:   make([]*engine.VarRelation, 1<<uint(n)),
+		size:   make([]int, 1<<uint(n)),
+		dist:   make([]int, 1<<uint(n)),
+		choice: make([]int8, 1<<uint(n)),
+	}
 	if db.IRCache() != nil {
-		keyer = newMaskKeyer(p.Body)
+		s.keyer = newMaskKeyer(p.Body)
 	}
-	rels := make([]*engine.VarRelation, total)
-	rels[0] = engine.UnitVarRelation()
-	const inf = int(^uint(0) >> 1)
-	dist := make([]int, total)
-	choice := make([]int, total)
-	done := make([]bool, total)
-	for i := range dist {
-		dist[i] = inf
+	states, err := s.run(irBound)
+	tr.Add(obs.CtrOptStates, states)
+	full := len(s.rels) - 1
+	if err != nil || s.dist[full] < 0 {
+		return nil, err
 	}
-	dist[0] = 0
 
+	// Reconstruct the order.
+	order := make([]int, 0, n)
+	for mask := full; mask != 0; {
+		g := int(s.choice[mask])
+		order = append(order, g)
+		mask &^= 1 << uint(g)
+	}
+	reverse(order)
+
+	plan := &Plan{Model: M2, Rewriting: p.Clone(), Order: order}
+	var schema engine.Schema
+	mask := 0
+	for _, idx := range order {
+		mask |= 1 << uint(idx)
+		schema = engine.JoinSchema(schema, p.Body[idx])
+		plan.Steps = append(plan.Steps, Step{
+			Subgoal:    p.Body[idx].Clone(),
+			ViewSize:   sizes[idx],
+			Retained:   append([]cq.Var(nil), schema...),
+			ResultSize: s.size[mask],
+		})
+		plan.Cost += sizes[idx] + s.size[mask]
+	}
+	return plan, nil
+}
+
+// m2Search is the state of one subset-lattice search, indexed by subgoal
+// bitmask. dist is the cheapest Σ size(IR) found to reach a subset and
+// choice the subgoal joined last on that chain; size is the subset's
+// |IR|, exact for every subset the search reaches; both are -1 until
+// known.
+type m2Search struct {
+	db     *engine.Database
+	body   []cq.Atom
+	keyer  *maskKeyer // nil without an IR cache
+	rels   []*engine.VarRelation
+	size   []int
+	dist   []int
+	choice []int8
+}
+
+// run settles subsets in order of Σ size(IR) until the full set is
+// popped or nothing cheaper than irBound is left, and returns the number
+// of states popped.
+func (s *m2Search) run(irBound int) (states int64, err error) {
+	n := len(s.body)
+	full := len(s.rels) - 1
+	for i := range s.dist {
+		s.dist[i], s.size[i] = -1, -1
+	}
+	s.dist[0] = 0
+	s.rels[0] = engine.UnitVarRelation()
+	done := make([]bool, len(s.rels))
 	pq := &maskHeap{{mask: 0, dist: 0}}
 	for pq.Len() > 0 {
 		cur := pq.pop()
-		if done[cur.mask] || cur.dist > dist[cur.mask] {
+		if done[cur.mask] {
 			continue
 		}
 		done[cur.mask] = true
@@ -165,55 +258,72 @@ func BestPlanM2(db *engine.Database, p *cq.Query) (*Plan, error) {
 		if cur.mask == full {
 			break
 		}
+		// An edge into a subset of size w lies on a chain cheaper than
+		// the bound only if cur.dist + w < irBound.
+		limit := irBound - cur.dist - 1
 		for g := 0; g < n; g++ {
-			bit := 1 << uint(g)
-			if cur.mask&bit != 0 {
+			next := cur.mask | 1<<uint(g)
+			if next == cur.mask || done[next] {
 				continue
 			}
-			next := cur.mask | bit
-			if done[next] {
-				continue
-			}
-			if rels[next] == nil {
-				rels[next], err = joinStepCached(db, keyer, next, rels[cur.mask], p.Body[g])
-				if err != nil {
-					return nil, err
+			w := s.size[next]
+			if w < 0 {
+				// Past the limit w is only a lower bound, which is all
+				// the later pops, with their tighter limits, need of it.
+				if w, err = s.count(cur.mask, g, limit); err != nil {
+					return states, err
 				}
+				s.size[next] = w
 			}
-			w := sizes[g] + rels[next].Size()
-			if d := cur.dist + w; d < dist[next] {
-				dist[next] = d
-				choice[next] = g
+			if w > limit {
+				continue
+			}
+			if d := cur.dist + w; s.dist[next] < 0 || d < s.dist[next] {
+				s.dist[next] = d
+				s.choice[next] = int8(g)
 				pq.push(maskItem{mask: next, dist: d})
 			}
 		}
 	}
-	if dist[full] == inf {
-		return nil, fmt.Errorf("cost: internal error: full join unreachable")
-	}
+	return states, nil
+}
 
-	// Reconstruct the order.
-	order := make([]int, 0, n)
-	for mask := full; mask != 0; {
-		g := choice[mask]
-		order = append(order, g)
-		mask &^= 1 << uint(g)
+// count returns |IR| of mask ∪ {g}, exact when at most limit: from the
+// IR cache when some search of this request already counted the subset,
+// otherwise by a count-only probe of mask's relation.
+func (s *m2Search) count(mask, g, limit int) (int, error) {
+	var key string
+	if s.keyer != nil {
+		key = s.keyer.key(mask | 1<<uint(g))
+		if w, ok := s.db.IRSize(key); ok {
+			return w, nil
+		}
 	}
-	reverse(order)
+	cur, err := s.rel(mask)
+	if err != nil {
+		return 0, err
+	}
+	w, err := s.db.JoinCount(cur, s.body[g], limit)
+	if err == nil && w <= limit && s.keyer != nil {
+		s.db.IRStoreSize(key, w)
+	}
+	return w, err
+}
 
-	plan := &Plan{Model: M2, Rewriting: p.Clone(), Order: order}
-	mask := 0
-	for _, idx := range order {
-		mask |= 1 << uint(idx)
-		plan.Steps = append(plan.Steps, Step{
-			Subgoal:    p.Body[idx].Clone(),
-			ViewSize:   sizes[idx],
-			Retained:   append([]cq.Var(nil), rels[mask].Schema...),
-			ResultSize: rels[mask].Size(),
-		})
-		plan.Cost += sizes[idx] + rels[mask].Size()
+// rel materializes a settled subset's relation on first use, joining
+// along the chain the search settled for it (through the IR cache, under
+// the subset's canonical key).
+func (s *m2Search) rel(mask int) (*engine.VarRelation, error) {
+	if s.rels[mask] != nil {
+		return s.rels[mask], nil
 	}
-	return plan, nil
+	g := int(s.choice[mask])
+	prev, err := s.rel(mask &^ (1 << uint(g)))
+	if err != nil {
+		return nil, err
+	}
+	s.rels[mask], err = joinStepCached(s.db, s.keyer, mask, prev, s.body[g])
+	return s.rels[mask], err
 }
 
 // BestPlanM2Exhaustive cross-checks BestPlanM2 by trying every
@@ -241,7 +351,7 @@ func BestPlanM2Exhaustive(db *engine.Database, p *cq.Query) (*Plan, error) {
 	return best, nil
 }
 
-// maskItem is a subset-lattice node in the Dijkstra frontier.
+// maskItem is a subset-lattice node in the search frontier.
 type maskItem struct {
 	mask int
 	dist int

@@ -7,17 +7,22 @@
 //   - M2 sums the sizes of the view relations joined plus the sizes of the
 //     intermediate relations IR_i with all attributes retained
 //     (Section 5). IR_i depends only on the *set* of joined subgoals, so
-//     the optimizer runs a dynamic program over subsets; an exhaustive
-//     permutation search is kept for cross-checking.
+//     the optimizer runs a best-first search over subsets, sizing them
+//     with count-only probes; an exhaustive permutation search is kept
+//     for cross-checking.
 //   - M3 sums view sizes plus generalized supplementary relations GSR_i:
 //     IR_i with a per-step annotation of dropped attributes (Section 6).
 //     Two drop strategies are provided: the classical
 //     supplementary-relation rule and the paper's renaming heuristic
 //     (Section 6.2) which can drop attributes the classical rule must
-//     keep, as in Example 6.1.
+//     keep, as in Example 6.1. GSR sizes depend on the order, so the
+//     optimizer is a branch-and-bound over subgoal prefixes.
 //
-// Sizes are measured by executing the plans on an engine.Database (the
-// closed-world setting: views are materialized), not estimated.
+// Sizes are measured on an engine.Database (the closed-world setting:
+// views are materialized) — by executing the joins, or by counting them
+// where only the size matters — not estimated. Both optimizers take an
+// upper bound on the cost of interest, so a caller comparing candidate
+// rewritings passes the best cost it holds.
 package cost
 
 import (

@@ -48,7 +48,11 @@ func costFixture(seed int64) (db *engine.Database, p, q *cq.Query, vs *views.Set
 	return db, p, inst.Query, inst.Views, true
 }
 
-// BestPlanM2 is never beaten by any explicit permutation.
+// BestPlanM2 is never beaten by any explicit permutation; its plan,
+// sized by counts, is what materializing its order step by step
+// measures; and a bound only decides whether the optimum is reported: at
+// the optimum's cost nothing is cheaper, one above it the same plan
+// comes back.
 func TestQuickBestPlanM2Optimal(t *testing.T) {
 	f := func(seed int64) bool {
 		db, p, _, _, ok := costFixture(seed)
@@ -61,6 +65,18 @@ func TestQuickBestPlanM2Optimal(t *testing.T) {
 		}
 		exh, err := BestPlanM2Exhaustive(db, p)
 		if err != nil {
+			return false
+		}
+		replay, err := PlanM2(db, p, best.Order)
+		if err != nil || replay.Tree() != best.Tree() {
+			return false
+		}
+		none, err := BestPlanM2Below(db, p, exh.Cost)
+		if err != nil || none != nil {
+			return false
+		}
+		just, err := BestPlanM2Below(db, p, exh.Cost+1)
+		if err != nil || just == nil || just.Tree() != best.Tree() {
 			return false
 		}
 		return best.Cost == exh.Cost

@@ -72,23 +72,6 @@ func (db *Database) compileAtom(cur Schema, atom cq.Atom) (atomSpec, error) {
 		joinCols: make([]int, 0, len(atom.Args)),
 		curCols:  make([]int, 0, len(atom.Args)),
 	}
-	firstPos := make(map[cq.Var]int) // first occurrence within atom
-	for i, arg := range atom.Args {
-		v, ok := arg.(cq.Var)
-		if !ok {
-			continue
-		}
-		if _, seen := firstPos[v]; !seen {
-			firstPos[v] = i
-			if c := cur.IndexOf(v); c >= 0 {
-				spec.joinCols = append(spec.joinCols, i)
-				spec.curCols = append(spec.curCols, c)
-			} else {
-				spec.newPos = append(spec.newPos, i)
-				spec.out = append(spec.out, v)
-			}
-		}
-	}
 	for i, arg := range atom.Args {
 		switch a := arg.(type) {
 		case cq.Const:
@@ -99,8 +82,20 @@ func (db *Database) compileAtom(cur Schema, atom cq.Atom) (atomSpec, error) {
 				spec.constChecks = append(spec.constChecks, constCheck{i, id})
 			}
 		case cq.Var:
-			if f := firstPos[a]; f != i {
-				spec.repChecks = append(spec.repChecks, repCheck{i, f})
+			// Arities are small: a scan for the first occurrence beats a
+			// map built per compile.
+			first := 0
+			for atom.Args[first] != arg {
+				first++
+			}
+			if first != i {
+				spec.repChecks = append(spec.repChecks, repCheck{i, first})
+			} else if c := cur.IndexOf(a); c >= 0 {
+				spec.joinCols = append(spec.joinCols, i)
+				spec.curCols = append(spec.curCols, c)
+			} else {
+				spec.newPos = append(spec.newPos, i)
+				spec.out = append(spec.out, a)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"log/slog"
+	"math"
 	"sort"
 
 	"viewplan/internal/cq"
@@ -323,9 +324,14 @@ var joinRowsHist = obs.Process.Histogram(obs.HistJoinRows)
 // The kernel runs entirely on interned rows: the build side is the
 // relation's cached integer index on the join columns, the probe side
 // packs each left row's join values into a machine word (or a reused
-// byte buffer beyond two columns), and output rows are assembled in one
-// reused buffer that the set-semantics insert copies only when the row
-// is new.
+// byte buffer beyond two columns), and output rows are appended straight
+// to the result. The unprojected join needs no dedup set: cur and the
+// stored relation are sets, and an output row determines both the left
+// row (its prefix) and the right row (join columns from the left, new
+// columns from the output, the rest pinned by the constant and
+// repeated-variable checks), so no two matches collide. The result's set
+// is left nil and rebuilt only if someone inserts into it; Project
+// dedups the retain != nil case.
 func (db *Database) JoinStep(cur *VarRelation, atom cq.Atom, retain []cq.Var) (*VarRelation, error) {
 	tr := db.Tracer()
 	sp := tr.Start(obs.PhaseEngineJoin)
@@ -336,51 +342,30 @@ func (db *Database) JoinStep(cur *VarRelation, atom cq.Atom, retain []cq.Var) (*
 	}
 	rel := spec.rel
 	outSchema := spec.out
-	out := newVarRelationIn(outSchema, db.in)
+	out := &VarRelation{Schema: outSchema, in: db.in}
 	probed := 0
 	if !spec.impossible && rel.n > 0 && cur.n > 0 {
-		// The probe side must speak the database's symbol table; left
-		// relations built by the kernel already do, standalone ones (the
-		// unit relation, test fixtures) are translated once.
 		w := len(cur.Schema)
-		data := cur.data
-		if cur.in != db.in {
-			data = make([]uint32, len(cur.data))
-			for i, id := range cur.data {
-				data[i] = db.in.ID(cur.in.Value(id))
-			}
-		}
+		data := db.probeSide(cur)
 		index := rel.indexFor(spec.joinCols)
 		probeKey := make([]uint32, len(spec.curCols))
-		rowBuf := make([]uint32, len(outSchema))
 		for li := 0; li < cur.n; li++ {
 			left := data[li*w : li*w+w]
 			for k, c := range spec.curCols {
 				probeKey[k] = left[c]
 			}
 			bucket := index.bucket(probeKey)
-			if len(bucket) == 0 {
-				continue
-			}
 			probed += len(bucket)
-			copy(rowBuf, left)
-		probe:
 			for _, ri := range bucket {
 				right := rel.irow(int(ri))
-				for _, cc := range spec.constChecks {
-					if right[cc.pos] != cc.id {
-						continue probe
-					}
+				if !spec.matches(right) {
+					continue
 				}
-				for _, rc := range spec.repChecks {
-					if right[rc.pos] != right[rc.first] {
-						continue probe
-					}
+				out.data = append(out.data, left...)
+				for _, np := range spec.newPos {
+					out.data = append(out.data, right[np])
 				}
-				for j, np := range spec.newPos {
-					rowBuf[w+j] = right[np]
-				}
-				out.insertIDs(rowBuf)
+				out.n++
 			}
 		}
 	}
@@ -401,4 +386,89 @@ func (db *Database) JoinStep(cur *VarRelation, atom cq.Atom, retain []cq.Var) (*
 		return out.Project(retain)
 	}
 	return out, nil
+}
+
+// probeSide returns cur's rows in the database's symbol table. Left
+// relations built by the kernel already speak it; standalone ones (the
+// unit relation, test fixtures) are translated once per call.
+func (db *Database) probeSide(cur *VarRelation) []uint32 {
+	if cur.in == db.in {
+		return cur.data
+	}
+	data := make([]uint32, len(cur.data))
+	for i, id := range cur.data {
+		data[i] = db.in.ID(cur.in.Value(id))
+	}
+	return data
+}
+
+// JoinCount returns the number of rows JoinStep(cur, atom, nil) would
+// produce, without producing them: the same compiled spec, the same
+// index, but matching bucket rows are counted instead of assembled (an
+// unprojected join has no duplicates, so the count is the size). When
+// cur and the atom share no variable the join is a cross product and the
+// count is |cur| times the stored rows passing the atom's own checks,
+// one scan of the relation instead of |cur| of them.
+//
+// Counting stops as soon as the count exceeds limit: the result is exact
+// when it is at most limit, and otherwise only guaranteed to be greater
+// than limit (math.MaxInt never stops early; the count saturates there).
+// The join-order searches pass what is left of their cost bound, so a
+// join too large to matter costs no more than the bound to rule out.
+//
+// A count is probe work, not a materialized join: it ticks
+// join_probe_rows but neither join_steps nor join_rows.
+func (db *Database) JoinCount(cur *VarRelation, atom cq.Atom, limit int) (int, error) {
+	tr := db.Tracer()
+	sp := tr.Start(obs.PhaseEngineJoin)
+	defer sp.End()
+	spec, err := db.compileAtom(cur.Schema, atom)
+	if err != nil {
+		return 0, err
+	}
+	rel := spec.rel
+	if spec.impossible || rel.n == 0 || cur.n == 0 {
+		return 0, nil
+	}
+	checked := len(spec.constChecks)+len(spec.repChecks) > 0
+	count, probed := 0, 0
+	if len(spec.joinCols) == 0 {
+		sel := rel.n
+		if checked {
+			sel, probed = 0, rel.n
+			for ri := 0; ri < rel.n; ri++ {
+				if spec.matches(rel.irow(ri)) {
+					sel++
+				}
+			}
+		}
+		count = cur.n * sel
+		if sel != 0 && count/sel != cur.n {
+			count = math.MaxInt
+		}
+	} else {
+		w := len(cur.Schema)
+		data := db.probeSide(cur)
+		index := rel.indexFor(spec.joinCols)
+		probeKey := make([]uint32, len(spec.curCols))
+		for li := 0; li < cur.n && count <= limit; li++ {
+			left := data[li*w : li*w+w]
+			for k, c := range spec.curCols {
+				probeKey[k] = left[c]
+			}
+			bucket := index.bucket(probeKey)
+			probed += len(bucket)
+			if !checked {
+				count += len(bucket)
+				continue
+			}
+			for _, ri := range bucket {
+				if spec.matches(rel.irow(int(ri))) {
+					count++
+				}
+			}
+		}
+	}
+	tr.Add(obs.CtrJoinProbeRows, int64(probed))
+	return count, nil
 }

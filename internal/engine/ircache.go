@@ -22,18 +22,24 @@ import (
 // dependent (a dropped variable rebinds freshly on re-join), so only an
 // identical prefix chain may be reused.
 //
+// The M2 search orders subgoals by the sizes of intermediate relations
+// and materializes few of them, so the cache also memoizes exact sizes
+// under the same keys: a size learned by JoinCount for one candidate is
+// not counted again for the next.
+//
 // Entries are invalidated wholesale when the database's mutation
 // counter moves: any Insert into any of the database's relations bumps
 // it, and the next cache access starts from empty.
 type IRCache struct {
-	mu  sync.Mutex
-	gen uint64
-	m   map[string]*VarRelation
+	mu    sync.Mutex
+	gen   uint64
+	m     map[string]*VarRelation
+	sizes map[string]int
 }
 
 // NewIRCache creates an empty cache.
 func NewIRCache() *IRCache {
-	return &IRCache{m: make(map[string]*VarRelation)}
+	return &IRCache{m: make(map[string]*VarRelation), sizes: make(map[string]int)}
 }
 
 // SetIRCache attaches (or, with nil, detaches) an intermediate-relation
@@ -50,6 +56,7 @@ func (db *Database) IRCache() *IRCache { return db.ir }
 func (c *IRCache) lockedSync(dbGen uint64) {
 	if c.gen != dbGen {
 		c.m = make(map[string]*VarRelation)
+		c.sizes = make(map[string]int)
 		c.gen = dbGen
 	}
 }
@@ -95,6 +102,41 @@ func (db *Database) IRStore(key string, vr *VarRelation) {
 	c.mu.Lock()
 	c.lockedSync(db.gen)
 	c.m[key] = vr
+	c.sizes[key] = vr.n
+	c.mu.Unlock()
+}
+
+// IRSize returns the exact size memoized under key by IRStoreSize or
+// IRStore. Like
+// IRLookup it misses silently without an attached cache and ticks the
+// ir_cache counters with one: a hit is a count probe not run.
+func (db *Database) IRSize(key string) (int, bool) {
+	c := db.ir
+	if c == nil {
+		return 0, false
+	}
+	c.mu.Lock()
+	c.lockedSync(db.gen)
+	n, ok := c.sizes[key]
+	c.mu.Unlock()
+	if ok {
+		db.Tracer().Add(obs.CtrIRCacheHit, 1)
+	} else {
+		db.Tracer().Add(obs.CtrIRCacheMiss, 1)
+	}
+	return n, ok
+}
+
+// IRStoreSize memoizes the exact size of the intermediate relation key
+// names. No-op without an attached cache.
+func (db *Database) IRStoreSize(key string, n int) {
+	c := db.ir
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.lockedSync(db.gen)
+	c.sizes[key] = n
 	c.mu.Unlock()
 }
 

@@ -43,9 +43,9 @@ const (
 	PhaseM2Optimizer     = "m2-optimizer"
 	PhaseM3Optimizer     = "m3-optimizer"
 	PhaseFilterSelection = "filter-selection"
-	// PhaseEngineJoin wraps one engine JoinStep: the hash-join kernel
-	// materializing an intermediate relation. It nests under whichever
-	// optimizer phase drove the join.
+	// PhaseEngineJoin wraps one call into the engine's hash-join kernel:
+	// a JoinStep materializing an intermediate relation or a JoinCount
+	// sizing one. It nests under whichever optimizer phase drove it.
 	PhaseEngineJoin = "engine-join"
 )
 
@@ -79,6 +79,8 @@ const (
 	CtrHomsFound
 	// CtrJoinSteps counts engine join steps executed: the cost
 	// simulation's JoinSteps and the executor's streaming joins.
+	// Count-only probes (JoinCount) materialize nothing and are not
+	// steps.
 	CtrJoinSteps
 	// CtrJoinRows counts rows in intermediate join results (for a
 	// streaming join, the rows it emitted).
@@ -86,7 +88,8 @@ const (
 	// CtrOptStates counts optimizer search states expanded (M2 lattice
 	// nodes popped).
 	CtrOptStates
-	// CtrOptOrders counts join orders fully evaluated (M3 permutations).
+	// CtrOptOrders counts complete join orders the M3 branch-and-bound
+	// reached (orders cut at a prefix are not counted).
 	CtrOptOrders
 	// CtrFilterCandidates counts filter literals tried (Section 5.1).
 	CtrFilterCandidates
@@ -94,13 +97,15 @@ const (
 	CtrFiltersAdded
 	// CtrJoinProbeRows counts candidate rows pulled from join-index
 	// buckets by the engine's hash-join kernel (probe-side work, before
-	// constant and repeated-variable filtering).
+	// constant and repeated-variable filtering), whether the kernel was
+	// materializing the join or only counting it.
 	CtrJoinProbeRows
-	// CtrIRCacheHit counts intermediate relations reused from the
-	// planner's IR cache instead of being re-joined.
+	// CtrIRCacheHit counts intermediate relations, and memoized sizes
+	// of intermediate relations, reused from the planner's IR cache
+	// instead of being re-joined or re-counted.
 	CtrIRCacheHit
 	// CtrIRCacheMiss counts IR-cache lookups that fell through to a
-	// real join (counted only while a cache is attached).
+	// real join or count (counted only while a cache is attached).
 	CtrIRCacheMiss
 	// CtrUnknownPreds counts join steps over predicates the database has
 	// no relation for (a likely misnamed view; they join as empty).

@@ -2,6 +2,7 @@ package viewplan
 
 import (
 	"fmt"
+	"math"
 
 	"viewplan/internal/corecover"
 	"viewplan/internal/cost"
@@ -160,27 +161,36 @@ func PlanQuery(db *Database, q *Query, vs *ViewSet, req PlanRequest) (*PlanResul
 		return nil, nil
 	}
 
+	// One incumbent for the request: each candidate is searched only for
+	// a plan strictly cheaper than the best so far, in CoreCover*'s order,
+	// so the first minimum wins and a candidate that cannot win is given
+	// up after its view-size sum or a few bounded counts.
 	var best *PlanResult
+	bound := math.MaxInt
 	for _, p := range res.Rewritings {
 		var plan *cost.Plan
 		switch req.Model {
 		case M2:
-			plan, err = cost.BestPlanM2(db, p)
+			plan, err = cost.BestPlanM2Below(db, p, bound)
 		case M3:
 			strategy := req.Strategy
 			if strategy != SupplementaryRelations {
 				strategy = RenamingHeuristic
 			}
-			plan, err = cost.BestPlanM3(db, p, strategy, q, vs)
+			plan, err = cost.BestPlanM3Below(db, p, strategy, q, vs, bound)
 		default:
 			return nil, fmt.Errorf("viewplan: unknown cost model %v", req.Model)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if best == nil || plan.Cost < best.Cost {
+		if plan != nil {
 			best = &PlanResult{Rewriting: p.Clone(), Plan: plan, Cost: plan.Cost}
+			bound = plan.Cost
 		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("viewplan: internal error: none of %d candidate rewritings has a plan of representable cost", len(res.Rewritings))
 	}
 	best.Considered = len(res.Rewritings)
 

@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
-# Allocation regression gates: run the Fig. 6a star benchmarks with
-# -benchmem and compare allocs/op against the checked-in baselines.
-# Allocations per op are deterministic for the fixed workloads, unlike
-# wall time, so the gates are usable on loaded CI machines. Two gates
-# run: the M2 end-to-end benchmark (engine baseline) and the
+# Allocation regression gate: run the Fig. 6a star planning benchmark
+# with -benchmem and compare allocs/op against the checked-in baseline.
+# Allocations per op are deterministic for the fixed workload, unlike
+# wall time, so the gate is usable on loaded CI machines. It watches the
 # planning-phase benchmark over 200 views (planner baseline, guarding
-# the interned homomorphism/cover kernels). A gate fails when allocs/op
-# regress more than 10% above its baseline; an improvement beyond 10%
-# prints a reminder to re-baseline.
+# the interned homomorphism/cover kernels); the engine-backed M2 gate
+# that used to run beside it is a plain test now
+# (internal/cost/m2_allocs_test.go, TestM2PlanningAllocs). The gate fails
+# when allocs/op regress more than 10% above the baseline; an improvement
+# beyond 10% prints a reminder to re-baseline.
 #
 # Usage: scripts/bench_engine.sh [-update]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHES=(
-    'BenchmarkFig6aStarM2/views=100 scripts/bench_engine_baseline.txt bench_engine'
     'BenchmarkFig6aStarPlanning scripts/bench_planner_baseline.txt bench_planner'
 )
 
