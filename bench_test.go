@@ -1,8 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus the ablations DESIGN.md calls out. Figure-scale sweeps
-// (40 queries per point, up to 1000 views) live in cmd/benchviews; the
-// benchmarks here time the representative operation of each figure at a
-// paper-scale point so `go test -bench=.` stays minutes, not hours.
+// Benchmarks timing the representative operation of every table and
+// figure of the paper's evaluation at a paper-scale point, plus the
+// ablations DESIGN.md calls out. The figures' shapes are asserted by
+// TestPaperFigureShapes (figures_test.go); these time single operations
+// so `go test -bench=.` stays minutes, not hours.
 package viewplan_test
 
 import (
@@ -351,15 +351,17 @@ func BenchmarkBaselineBucket(b *testing.B) {
 	}
 }
 
-// m2PlanFixture materializes a Figure 6(a) star instance's views over
+// The M3 order search on the Figure 6(a) star workload, end to end:
+// CoreCover* plus the order search over views materialized from
 // synthetic base data (100 rows per relation, 100-value domain: star-join
-// fan-out near 1) for the end-to-end M2/M3 planning benchmarks.
-func m2PlanFixture(b *testing.B, numViews int) (*viewplan.Database, *workload.Instance) {
-	b.Helper()
+// fan-out near 1). The request leaves Strategy at its zero value,
+// SupplementaryRelations. Kept at 100 views and a small candidate cap:
+// M3 is factorial in the rewriting body size.
+func BenchmarkFig6aStarM3(b *testing.B) {
 	inst := benchInstance(b, workload.Config{
 		Shape:         workload.Star,
 		QuerySubgoals: 8,
-		NumViews:      numViews,
+		NumViews:      100,
 		Seed:          42,
 	})
 	db := viewplan.NewDatabase()
@@ -368,102 +370,6 @@ func m2PlanFixture(b *testing.B, numViews int) (*viewplan.Database, *workload.In
 	if err := db.MaterializeViews(inst.Views); err != nil {
 		b.Fatal(err)
 	}
-	return db, inst
-}
-
-// The M2 cost search on the Figure 6(a) star workload: CoreCover*
-// rewriting generation plus the engine-backed subset-lattice optimizer
-// and filter selection, end to end. The candidate count is capped (the
-// per-candidate engine work is what is being measured; uncapped counts
-// grow super-linearly in the view count and only repeat it). The
-// views=100 instance is the one TestM2PlanningAllocs (internal/cost)
-// gates on allocs/op.
-func BenchmarkFig6aStarM2(b *testing.B) {
-	for _, nv := range []int{100, 200} {
-		b.Run(fmt.Sprintf("views=%d", nv), func(b *testing.B) {
-			db, inst := m2PlanFixture(b, nv)
-			req := viewplan.PlanRequest{Model: viewplan.M2, MaxRewritings: 64}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := viewplan.PlanQuery(db, inst.Query, inst.Views, req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res == nil || res.Plan == nil {
-					b.Fatal("no plan")
-				}
-			}
-		})
-	}
-}
-
-// The planning-only benchmark the `make bench` gate watches alongside
-// the M2 engine benchmark: CoreCover rewriting generation on the
-// Figure 6(a) star workload at 200 views, engine evaluation excluded.
-// Allocs/op is deterministic (a run is one sequential pass) and the
-// whole run exercises the interned planning kernel: canonical-DB
-// homomorphism search, tuple-cores, and the bitset cover search.
-func BenchmarkFig6aStarPlanning(b *testing.B) {
-	inst := benchInstance(b, workload.Config{
-		Shape:         workload.Star,
-		QuerySubgoals: 8,
-		NumViews:      200,
-		Seed:          42,
-	})
-	opts := corecover.Options{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := corecover.CoreCover(inst.Query, inst.Views, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rewritings) == 0 {
-			b.Fatal("no rewriting")
-		}
-	}
-}
-
-// The warm-path cost of the resident service: the Fig. 6a planning
-// workload answered through a compiled ViewCatalog and an already-primed
-// PlanCache, so every iteration is one cache hit — parse-free canonical
-// labeling plus a rebased private copy of the memoized Result.
-// scripts/bench_service.sh gates allocs/op here against
-// scripts/bench_service_baseline.txt, keeping the hit path from quietly
-// growing back toward cold-path cost.
-func BenchmarkWarmPlanRequest(b *testing.B) {
-	inst := benchInstance(b, workload.Config{
-		Shape:         workload.Star,
-		QuerySubgoals: 8,
-		NumViews:      200,
-		Seed:          42,
-	})
-	cat, err := viewplan.CompileViews(inst.Views, viewplan.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := viewplan.NewPlanCache(16)
-	opts := viewplan.Options{Catalog: cat, Cache: cache}
-	if _, err := viewplan.FindGMRsWith(inst.Query, nil, opts); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := viewplan.FindGMRsWith(inst.Query, nil, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rewritings) == 0 {
-			b.Fatal("no rewriting")
-		}
-	}
-}
-
-// The M3 order search on the same workload (renaming heuristic). Kept at
-// 100 views and a small candidate cap: M3 is factorial in the rewriting
-// body size.
-func BenchmarkFig6aStarM3(b *testing.B) {
-	db, inst := m2PlanFixture(b, 100)
 	req := viewplan.PlanRequest{Model: viewplan.M3, MaxRewritings: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -173,6 +174,36 @@ func TestRunTrace(t *testing.T) {
 			t.Errorf("trace output missing counter %s:\n%s", ctr, s)
 		}
 	}
+}
+
+// TestRunTraceOut checks -traceout: the file is valid trace-event JSON
+// with at least one complete ("X") span for the corecover phase.
+func TestRunTraceOut(t *testing.T) {
+	in := writeTemp(t, "q.dl", inputDL)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var out bytes.Buffer
+	if err := run(&out, config{algo: "corecover", model: "M2", traceout: path}, []string{in}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace output is not valid JSON: %v", err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "corecover" {
+			return
+		}
+	}
+	t.Fatalf("no complete corecover span in trace:\n%s", data)
 }
 
 // TestRunExplain checks the -explain annotation: each view literal of a

@@ -1,6 +1,6 @@
 // Command tracecheck validates a Chrome trace-event JSON file, the
-// format written by `benchviews -traceout` and `corecover -traceout`
-// (and loadable at ui.perfetto.dev or chrome://tracing). It is the
+// format written by `corecover -traceout` and viewplan.WriteTrace (and
+// loadable at ui.perfetto.dev or chrome://tracing). It is the
 // verification half of `make trace`: a trace that only a browser can
 // reject is not a testable artifact.
 //

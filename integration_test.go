@@ -1,15 +1,12 @@
 package viewplan_test
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"viewplan"
 	"viewplan/internal/bucket"
 	"viewplan/internal/corecover"
 	"viewplan/internal/engine"
-	"viewplan/internal/experiments"
 	"viewplan/internal/minicon"
 	"viewplan/internal/naive"
 	"viewplan/internal/ucq"
@@ -236,39 +233,5 @@ func TestIntegrationEstimatorRanksConsistently(t *testing.T) {
 		if len(order) != len(p.Body) || est <= 0 {
 			t.Errorf("estimate broken for %s: order %v, est %f", p, order, est)
 		}
-	}
-}
-
-// TestIntegrationExperimentsSmoke runs a miniature sweep for every
-// figure configuration end to end and renders each figure's table.
-func TestIntegrationExperimentsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cache := make(map[string][]experiments.Point)
-	for _, fig := range experiments.AllFigures() {
-		t.Run(fmt.Sprintf("fig%s", fig), func(t *testing.T) {
-			cfg, err := experiments.ConfigFor(fig)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.ViewCounts = []int{30}
-			cfg.QueriesPerPoint = 3
-			cfg.QuerySubgoals = 5
-			key := fmt.Sprintf("%s-%d", cfg.Shape, cfg.Nondistinguished)
-			pts, ok := cache[key]
-			if !ok {
-				pts, err = experiments.Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cache[key] = pts
-			}
-			var b strings.Builder
-			experiments.Render(&b, fig, pts)
-			if !strings.Contains(b.String(), "30") {
-				t.Errorf("render missing data:\n%s", b.String())
-			}
-		})
 	}
 }

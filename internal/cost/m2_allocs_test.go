@@ -14,9 +14,9 @@ import (
 )
 
 // TestM2PlanningAllocs is the allocation gate on engine-backed M2
-// planning, on the instance scripts/bench_engine.sh used to gate through
-// BenchmarkFig6aStarM2/views=100: an 8-subgoal star over 100 views with
-// 100-row relations, CoreCover* capped at 64 candidates, join ordering
+// planning, on the seed-42 Fig. 6a instance BenchmarkFig6aStarM3 plans:
+// an 8-subgoal star over 100 views with 100-row relations, CoreCover*
+// capped at 64 candidates, join ordering
 // and filter selection end to end. Allocations per op are deterministic
 // for the fixed instance; the ceiling is the recorded 19 140 plus 10 %.
 // The materializing lattice search this replaced sat at 118 029: a

@@ -8,8 +8,7 @@
 // instrumented code pays only a pointer check when tracing is off.
 // Spans must be started and ended from one goroutine (the planner is
 // single-threaded per run); counters are atomic and may be incremented
-// from any goroutine, including the parallel sweep workers of package
-// experiments.
+// from any goroutine.
 //
 // Layers too deep to thread a per-run tracer through (the containment
 // homomorphism search, which sits under every equivalence test) count

@@ -19,9 +19,6 @@ const (
 	// HistPlanLatency is the end-to-end PlanQuery latency in
 	// nanoseconds (the observed planning time of each run's snapshot).
 	HistPlanLatency = "plan_latency_ns"
-	// HistCoreCoverLatency is the rewriting-generation (CoreCover)
-	// latency in nanoseconds, recorded by the experiments sweeps.
-	HistCoreCoverLatency = "corecover_latency_ns"
 	// HistRewritingsConsidered is the per-request count of candidate
 	// rewritings the planner examined.
 	HistRewritingsConsidered = "rewritings_considered"

@@ -118,8 +118,8 @@ func relName(i int) string { return "e" + strconv.Itoa(i) }
 
 // ScaleVocab returns the base-relation vocabulary size the scale
 // benchmarks pair with a catalog of numViews views. Small catalogs keep
-// the 16-relation Fig. 6a vocabulary (so BENCH_service.json's default
-// 200-view world is unchanged); larger catalogs widen the vocabulary so
+// the 16-relation Fig. 6a vocabulary (so the 200-view world is the
+// paper's); larger catalogs widen the vocabulary so
 // views spread over many relations the query never mentions — the
 // realistic large-deployment shape, and the one the sharded planner's
 // candidate prefilter is built for. With a fixed vocabulary, 20k views

@@ -241,8 +241,8 @@ func TestScaleCatalogDeterministicAndSized(t *testing.T) {
 			}
 		}
 	}
-	// The 200-view scale catalog is the servebench default world:
-	// vocabulary 16 keeps it byte-compatible with earlier reports.
+	// The 200-view scale catalog keeps the Fig. 6a vocabulary of 16,
+	// byte-compatible with earlier reports.
 	if v := ScaleVocab(200); v != 16 {
 		t.Fatalf("ScaleVocab(200) = %d, want 16", v)
 	}

@@ -16,7 +16,9 @@ import (
 type PlanRequest struct {
 	// Model selects M1, M2 or M3 (default M2).
 	Model CostModel
-	// Strategy selects the M3 drop rule (default RenamingHeuristic).
+	// Strategy selects the M3 drop rule. The zero value is
+	// SupplementaryRelations; set RenamingHeuristic for the paper's
+	// Section 6.2 rule.
 	Strategy DropStrategy
 	// DisableFilters skips the Section 5.1 filter-augmentation pass
 	// under M2.

@@ -1,6 +1,7 @@
 package viewplan_test
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -113,6 +114,55 @@ func TestPlanQueryM3(t *testing.T) {
 	}
 	if res.Cost > m2.Cost {
 		t.Errorf("M3 cost %d exceeds M2 cost %d", res.Cost, m2.Cost)
+	}
+}
+
+// TestPlanQueryM3DefaultStrategy pins which M3 drop rule a zero-value
+// PlanRequest gets, on Example 6.1 (examples/attributedrop's data), where
+// P2 = q(A) :- v1(A, B), v2(A, B) is the only CoreCover* candidate. The
+// zero value is SupplementaryRelations: B stays in P2's first GSR because
+// v2 still uses it, the paper's cost 13. The renaming heuristic drops B
+// early and reaches 10. Switching the default must change this test.
+func TestPlanQueryM3DefaultStrategy(t *testing.T) {
+	vs, err := viewplan.ParseViews(`
+		v1(A, B) :- r(A, A), s(B, B).
+		v2(A, B) :- t(A, B), s(B, B).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := viewplan.MustParseQuery("q(A) :- r(A, A), t(A, B), s(B, B)")
+	db := viewplan.NewDatabase()
+	if err := db.LoadFacts("r(1, 1). s(2, 2). s(4, 4). s(6, 6). s(8, 8). t(1, 2). t(3, 4). t(5, 6). t(7, 8)."); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.MaterializeViews(vs); err != nil {
+		t.Fatal(err)
+	}
+	plan := func(req viewplan.PlanRequest) *viewplan.PlanResult {
+		t.Helper()
+		req.Model = viewplan.M3
+		res, err := viewplan.PlanQuery(db, q, vs, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res == nil || res.Plan == nil {
+			t.Fatalf("no M3 plan for %+v", req)
+		}
+		return res
+	}
+	def := plan(viewplan.PlanRequest{})
+	sr := plan(viewplan.PlanRequest{Strategy: viewplan.SupplementaryRelations})
+	if def.Plan.String() != sr.Plan.String() || def.Rewriting.String() != sr.Rewriting.String() {
+		t.Errorf("zero-value Strategy plans\n  %s: %s\nexplicit SupplementaryRelations plans\n  %s: %s",
+			def.Rewriting, def.Plan, sr.Rewriting, sr.Plan)
+	}
+	steps := def.Plan.Steps
+	if def.Cost != 13 || len(steps) != 2 || fmt.Sprint(steps[0].Dropped) != "[]" || fmt.Sprint(steps[1].Dropped) != "[B]" {
+		t.Errorf("default M3 plan = %s; want cost 13 with drop[] then drop[B]", def.Plan)
+	}
+	if rh := plan(viewplan.PlanRequest{Strategy: viewplan.RenamingHeuristic}); rh.Cost != 10 {
+		t.Errorf("RenamingHeuristic M3 plan = %s; want the paper's cost 10", rh.Plan)
 	}
 }
 

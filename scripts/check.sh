@@ -14,7 +14,9 @@
 # a frozen import surface of this one — see bench/README.md; the root
 # surface_test.go pins that surface for tier-1, this step runs the
 # benchmark's own digests), and finish with a short fuzz smoke of the cq
-# parser.
+# parser. The allocation gates (*_allocs_test.go) and the paper's figure
+# shapes (figures_test.go) are plain tests that run in `go test ./...`,
+# so they need no step here; bench/'s tests are the one benchmark step.
 #
 # The lint binary is built once into bin/ (go's build cache makes the
 # rebuild a no-op when nothing changed), keeping the whole gate fast.

@@ -64,15 +64,17 @@
 // generations, which the cache's keys embed, so view mutations
 // invalidate without purging. Results served from the cache are
 // byte-identical to cold runs (a guarantee the cache-differential
-// tests pin across a corpus and across interleaved mutations). cmd/planserve serves this pair over
-// HTTP/JSON with hit/miss/eviction counters in a Registry, and
-// cmd/servebench measures it under sustained concurrent traffic.
+// tests pin across a corpus and across interleaved mutations).
+// cmd/planserve serves this pair over HTTP/JSON with hit/miss/eviction
+// counters in a Registry; the benchmark module under bench/ measures it
+// over a real socket.
 //
 // The packages under internal/ hold the implementation: cq (conjunctive
 // queries), containment (Chandra–Merlin machinery), views (expansions and
 // view tuples), corecover (the paper's core), engine (execution), cost
 // (M1/M2/M3 optimizers), obs (tracing and metrics), minicon/bucket/naive
-// (baselines), workload and experiments (the Section 7 evaluation).
+// (baselines), and workload (the Section 7 query and view generators,
+// whose figure shapes TestPaperFigureShapes asserts).
 package viewplan
 
 import (
