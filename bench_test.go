@@ -394,12 +394,26 @@ func BenchmarkM2OptimizerDP(b *testing.B) {
 	}
 }
 
+// BenchmarkM2OptimizerExhaustive materializes the plan of every order.
 func BenchmarkM2OptimizerExhaustive(b *testing.B) {
 	db, p := m2OptimizerFixture(b)
+	var orders [][]int
+	var perm func(order, rest []int)
+	perm = func(order, rest []int) {
+		if len(rest) == 0 {
+			orders = append(orders, order)
+		}
+		for i, g := range rest {
+			perm(append(order[:len(order):len(order)], g), append(append([]int(nil), rest[:i]...), rest[i+1:]...))
+		}
+	}
+	perm(nil, []int{0, 1, 2, 3, 4})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cost.BestPlanM2Exhaustive(db, p); err != nil {
-			b.Fatal(err)
+		for _, order := range orders {
+			if _, err := cost.PlanM2(db, p, order); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"viewplan/internal/cq"
@@ -31,10 +32,13 @@ const (
 
 // String names the strategy.
 func (s DropStrategy) String() string {
-	if s == RenamingHeuristic {
+	switch s {
+	case SupplementaryRelations:
+		return "supplementary-relations"
+	case RenamingHeuristic:
 		return "renaming-heuristic"
 	}
-	return "supplementary-relations"
+	return fmt.Sprintf("DropStrategy(%d)", int(s))
 }
 
 // Drops computes the per-step drop annotation X_i for rewriting p
@@ -68,9 +72,8 @@ func Drops(strategy DropStrategy, p *cq.Query, order []int, q *cq.Query, vs *vie
 }
 
 // dropRule decides the drop set of one M3 step. The set depends on the
-// ordered prefix of subgoals processed (through the renames it carries)
-// and on the *set* of subgoals still to come, not on their order — which
-// is what lets BestPlanM3Below compute it once per prefix.
+// subgoals processed, with the renames earlier drops applied to them, and
+// on the set still to come, not on any order: on the search's state.
 type dropRule struct {
 	strategy DropStrategy
 	p, q     *cq.Query
@@ -80,6 +83,9 @@ type dropRule struct {
 }
 
 func newDropRule(strategy DropStrategy, p, q *cq.Query, vs *views.Set) (*dropRule, error) {
+	if strategy != SupplementaryRelations && strategy != RenamingHeuristic {
+		return nil, fmt.Errorf("cost: unknown drop strategy %v", strategy)
+	}
 	if strategy == RenamingHeuristic && (q == nil || vs == nil) {
 		return nil, fmt.Errorf("cost: the renaming heuristic needs the original query and views")
 	}
@@ -126,48 +132,13 @@ func (r *dropRule) step(done, rest []cq.Atom, retained cq.VarSet) ([]cq.Var, []c
 	return drops, done
 }
 
-// gsrStep joins cur with atom and projects the result onto keep: one
-// generalized supplementary relation. Generalized supplementary
-// relations are history-dependent (once a variable is dropped, a later
-// occurrence rebinds freshly), so the IR-cache key is the ordered chain
-// of (subgoal, retained variables) — only plans sharing an identical
-// prefix reuse a GSR. It returns the relation and the chain key extended
-// by this step.
-func gsrStep(db *engine.Database, chain string, cur *engine.VarRelation, atom cq.Atom, keep []cq.Var) (*engine.VarRelation, string, error) {
-	if db.IRCache() == nil {
-		next, err := db.JoinStep(cur, atom, keep)
-		return next, chain, err
-	}
-	var b strings.Builder
-	b.WriteString(chain)
-	b.WriteByte(0)
-	b.WriteString(atom.String())
-	b.WriteByte(1)
-	for _, v := range keep {
-		b.WriteString(string(v))
-		b.WriteByte(2)
-	}
-	chain = b.String()
-	if vr, ok := db.IRLookup(chain, engine.Schema(keep)); ok {
-		return vr, chain, nil
-	}
-	next, err := db.JoinStep(cur, atom, keep)
-	if err != nil {
-		return nil, chain, err
-	}
-	db.IRStore(chain, next)
-	return next, chain, nil
-}
-
-// m3Chain is the IR-cache key of the empty prefix.
-const m3Chain = "m3"
-
 // PlanM3 simulates the M3 physical plan of p over db with the given order
 // and per-step drop annotations, measuring the generalized supplementary
 // relation GSR_i after each step. Joins match only on retained shared
 // variables: once a variable is dropped, a later subgoal mentioning it
 // rebinds it freshly (the equality comparison is gone), exactly the
-// semantics of the Section 6.2 heuristic.
+// semantics of the Section 6.2 heuristic. With an IR cache the GSRs go
+// through it under the keys BestPlanM3Below's search gives them.
 func PlanM3(db *engine.Database, p *cq.Query, order []int, drops [][]cq.Var) (*Plan, error) {
 	n := len(p.Body)
 	if order == nil {
@@ -184,16 +155,25 @@ func PlanM3(db *engine.Database, p *cq.Query, order []int, drops [][]cq.Var) (*P
 		return nil, err
 	}
 	plan := &Plan{Model: M3, Rewriting: p.Clone(), Order: append([]int(nil), order...)}
+	keyer, vars := newMaskKeyer(p.Body), p.Vars()
+	gen := cq.NewFreshGen("_D", vars)
+	atoms := p.Body // the prefix with the drops' renames applied
 	cur := engine.UnitVarRelation()
 	retained := make(cq.VarSet)
-	chain := m3Chain
+	mask := 0
 	for step, idx := range order {
+		mask |= 1 << uint(idx)
 		p.Body[idx].Vars(retained)
 		for _, v := range drops[step] {
 			delete(retained, v)
 		}
 		keep := retained.Sorted()
-		cur, chain, err = gsrStep(db, chain, cur, p.Body[idx], keep)
+		atoms = renameDropped(atoms, mask, drops[step], gen)
+		var key string
+		if step < n-1 { // the full set's GSR is a prefix of nothing
+			key = keyer.gsrKey(mask, atoms, keep, vars)
+		}
+		cur, err = joinStepCached(db, key, cur, p.Body[idx], keep)
 		if err != nil {
 			return nil, err
 		}
@@ -209,8 +189,62 @@ func PlanM3(db *engine.Database, p *cq.Query, order []int, drops [][]cq.Var) (*P
 	return plan, nil
 }
 
-// maxM3Subgoals bounds the order search of BestPlanM3.
-const maxM3Subgoals = 8
+// renameDropped applies one step's renames to atoms, the body with the
+// earlier steps' renames applied: a variable dropped after joining the
+// subgoals of mask that a later subgoal still uses rebinds there, so its
+// occurrences in mask are renamed apart, as the drop rule renames them.
+func renameDropped(atoms []cq.Atom, mask int, dropped []cq.Var, gen *cq.FreshGen) []cq.Atom {
+	later := make(cq.VarSet)
+	for i, a := range atoms {
+		if mask&(1<<uint(i)) == 0 {
+			a.Vars(later)
+		}
+	}
+	for _, v := range dropped {
+		if later.Has(v) {
+			sub := cq.Subst{v: gen.Fresh()}
+			atoms = append([]cq.Atom(nil), atoms...)
+			for i := range atoms {
+				if mask&(1<<uint(i)) != 0 {
+					atoms[i] = sub.Atom(atoms[i])
+				}
+			}
+		}
+	}
+	return atoms
+}
+
+// gsrKey names a generalized supplementary relation: the subgoals of
+// mask, with the drops' renames applied, in the order of the original
+// atoms' strings, and the retained variables. A name outside vars is a
+// rename's fresh variable and is numbered by first occurrence, so the
+// prefixes that rename the same occurrences share the key whatever names
+// their renames drew. The key determines the relation, π_keep(⋈ atoms),
+// so it is the IR-cache key across orders and rewritings and the name of
+// the search's state within its subgoal set.
+func (k *maskKeyer) gsrKey(mask int, atoms []cq.Atom, keep []cq.Var, vars cq.VarSet) string {
+	var b strings.Builder
+	b.WriteString("m3")
+	canon := cq.Subst{}
+	for _, i := range k.sorted {
+		if mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		for _, t := range atoms[i].Args {
+			if v, ok := t.(cq.Var); ok && !vars.Has(v) && canon[v] == nil {
+				canon[v] = cq.Var("\x03" + strconv.Itoa(len(canon)))
+			}
+		}
+		b.WriteByte(0)
+		b.WriteString(canon.Atom(atoms[i]).String())
+	}
+	b.WriteByte(1)
+	for _, v := range keep {
+		b.WriteString(string(v))
+		b.WriteByte(2)
+	}
+	return b.String()
+}
 
 // BestPlanM3 finds a minimum-cost M3 plan for p over db under the given
 // drop strategy: the search of BestPlanM3Below with no bound.
@@ -220,23 +254,12 @@ func BestPlanM3(db *engine.Database, p *cq.Query, strategy DropStrategy, q *cq.Q
 
 // BestPlanM3Below finds a minimum-cost M3 plan for p over db among the
 // plans that cost less than bound; it returns a nil plan when there is
-// none. Under M3 the intermediate sizes depend on the order (drops
-// differ per order), so no subset search applies: it is a depth-first
-// branch-and-bound over subgoal prefixes. A prefix fixes its drop
-// annotations (see dropRule) and its generalized supplementary
-// relations, so each is computed once per prefix and shared by every
-// order below it, and a prefix whose cost so far plus the view sizes
-// still to be paid reaches the incumbent — the bound, then the best
-// complete order found — is cut. Among equal-cost orders the
-// lexicographically first wins.
+// none. The order is the lattice search's over the drop rule's states: a
+// state's successor is named by running the rule for one more subgoal
+// and sized by materializing its GSR through the IR cache under gsrKey.
+// The plan is PlanM3's replay of the order found, which the cache serves
+// from the search's own GSRs.
 func BestPlanM3Below(db *engine.Database, p *cq.Query, strategy DropStrategy, q *cq.Query, vs *views.Set, bound int) (*Plan, error) {
-	n := len(p.Body)
-	if n == 0 {
-		return nil, fmt.Errorf("cost: empty rewriting body")
-	}
-	if n > maxM3Subgoals {
-		return nil, fmt.Errorf("cost: %d subgoals exceeds the M3 optimizer limit of %d", n, maxM3Subgoals)
-	}
 	tr := db.Tracer()
 	sp := tr.Start(obs.PhaseM3Optimizer)
 	defer sp.End()
@@ -244,109 +267,75 @@ func BestPlanM3Below(db *engine.Database, p *cq.Query, strategy DropStrategy, q 
 	if err != nil {
 		return nil, err
 	}
-	sizes, err := viewSizes(db, p)
+	_, irBound, err := searchBound(db, p, bound)
+	if irBound <= 0 {
+		return nil, err
+	}
+	m := &m3Model{lattice: lattice{n: len(p.Body), ids: map[stateKey]int32{}}, db: db, rule: rule, keyer: newMaskKeyer(p.Body), vars: p.Vars()}
+	m.model = m
+	m.atoms, m.keep = [][]cq.Atom{p.Body}, [][]cq.Var{nil}
+	_, order, err := m.order(tr, irBound)
+	if order == nil {
+		return nil, err
+	}
+	drops, err := Drops(strategy, p, order, q, vs)
 	if err != nil {
 		return nil, err
 	}
-	rest := 0
-	for _, s := range sizes {
-		rest += s
-	}
-	s := m3Search{db: db, p: p, sizes: sizes, rule: rule, bound: bound}
-	err = s.extend(m3Prefix{retained: make(cq.VarSet), gsr: engine.UnitVarRelation(), chain: m3Chain}, rest)
-	tr.Add(obs.CtrOptOrders, s.orders)
-	return s.best, err
+	return PlanM3(db, p, order, drops)
 }
 
-// m3Search is the state of one branch-and-bound: the incumbent and the
-// order and steps of the prefix being extended.
-type m3Search struct {
+// m3Model names the lattice's states by the drop rule and sizes them by
+// their GSRs.
+type m3Model struct {
+	lattice
 	db    *engine.Database
-	p     *cq.Query
-	sizes []int
 	rule  *dropRule
+	keyer *maskKeyer
+	vars  cq.VarSet // the rewriting's own variables
 
-	bound  int   // only plans cheaper than this are of interest
-	best   *Plan // the plan that set bound, nil while it is the caller's
-	orders int64 // complete orders reached
-
-	order []int
-	steps []Step
+	// Per state: the body with the state's renames applied, and the
+	// variables its GSR retains; then the same for the state the last key
+	// call named, which the measure call that follows appends if it is new.
+	atoms     [][]cq.Atom
+	keep      [][]cq.Var
+	nextAtoms []cq.Atom
+	nextKeep  []cq.Var
 }
 
-// m3Prefix is what a prefix of subgoals determines for the steps below
-// it.
-type m3Prefix struct {
-	used     int       // bitmask of the subgoals in the prefix
-	done     []cq.Atom // those subgoals in order, drop renames applied
-	retained cq.VarSet // schema of gsr
-	gsr      *engine.VarRelation
-	chain    string // IR-cache key of gsr
-	cost     int
+// key runs the drop rule for joining g after state st and names the
+// state it reaches by gsrKey.
+func (m *m3Model) key(st, g int) string {
+	mask := m.mask(st) | 1<<uint(g)
+	var done, rest []cq.Atom
+	for i, a := range m.atoms[st] {
+		if mask&(1<<uint(i)) == 0 {
+			rest = append(rest, a)
+		} else if i != g {
+			done = append(done, a)
+		}
+	}
+	retained := make(cq.VarSet)
+	for _, v := range m.keep[st] {
+		retained.Add(v)
+	}
+	drops, _ := m.rule.step(append(done, m.rule.p.Body[g]), rest, retained)
+	m.nextAtoms, m.nextKeep = renameDropped(m.atoms[st], mask, drops, m.rule.gen), retained.Sorted()
+	return m.keyer.gsrKey(mask, m.nextAtoms, m.nextKeep, m.vars)
 }
 
-// extend tries every subgoal not in the prefix as its next step. rest is
-// the sum of the view sizes of those subgoals.
-func (s *m3Search) extend(pre m3Prefix, rest int) error {
-	body := s.p.Body
-	if len(s.order) == len(body) {
-		s.orders++
-		if pre.cost < s.bound {
-			s.bound = pre.cost
-			s.best = &Plan{
-				Model:     M3,
-				Rewriting: s.p.Clone(),
-				Order:     append([]int(nil), s.order...),
-				Steps:     append([]Step(nil), s.steps...),
-				Cost:      pre.cost,
-			}
-		}
-		return nil
+// measure materializes the GSR of the new state next. The full set's GSR
+// is a prefix of nothing: it is sized, not memoized.
+func (m *m3Model) measure(st, g, next, limit int) (int, error) {
+	m.atoms, m.keep = append(m.atoms, m.nextAtoms), append(m.keep, m.nextKeep)
+	key := m.keys[next].key
+	if m.keys[next].mask == m.full {
+		key = ""
 	}
-	for g := range body {
-		// The incumbent may have dropped since the last sibling.
-		if pre.cost+rest >= s.bound {
-			return nil
-		}
-		if pre.used&(1<<uint(g)) != 0 {
-			continue
-		}
-		next := m3Prefix{used: pre.used | 1<<uint(g), retained: pre.retained.Union(nil)}
-		later := make([]cq.Atom, 0, len(body))
-		for j, a := range body {
-			if next.used&(1<<uint(j)) == 0 {
-				later = append(later, a)
-			}
-		}
-		var drops []cq.Var
-		drops, next.done = s.rule.step(append(pre.done[:len(pre.done):len(pre.done)], body[g]), later, next.retained)
-		keep := next.retained.Sorted()
-		var err error
-		if len(s.order)+1 == len(body) {
-			// A complete order's last GSR is a prefix of nothing, and
-			// complete orders are most of the tree: memoizing them would
-			// only hold every one of them until the request ends.
-			next.gsr, err = s.db.JoinStep(pre.gsr, body[g], keep)
-		} else {
-			next.gsr, next.chain, err = gsrStep(s.db, pre.chain, pre.gsr, body[g], keep)
-		}
-		if err != nil {
-			return err
-		}
-		next.cost = pre.cost + s.sizes[g] + next.gsr.Size()
-		s.order = append(s.order, g)
-		s.steps = append(s.steps, Step{
-			Subgoal:    body[g].Clone(),
-			ViewSize:   s.sizes[g],
-			Dropped:    drops,
-			Retained:   keep,
-			ResultSize: next.gsr.Size(),
-		})
-		err = s.extend(next, rest-s.sizes[g])
-		s.order, s.steps = s.order[:len(s.order)-1], s.steps[:len(s.steps)-1]
-		if err != nil {
-			return err
-		}
+	rel, err := joinStepCached(m.db, key, m.rels[st], m.rule.p.Body[g], m.keep[next])
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	m.rels[next] = rel
+	return rel.Size(), nil
 }

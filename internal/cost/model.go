@@ -6,23 +6,23 @@
 //     finds.
 //   - M2 sums the sizes of the view relations joined plus the sizes of the
 //     intermediate relations IR_i with all attributes retained
-//     (Section 5). IR_i depends only on the *set* of joined subgoals, so
-//     the optimizer runs a best-first search over subsets, sizing them
-//     with count-only probes; an exhaustive permutation search is kept
-//     for cross-checking.
+//     (Section 5). IR_i depends only on the *set* of subgoals joined.
 //   - M3 sums view sizes plus generalized supplementary relations GSR_i:
-//     IR_i with a per-step annotation of dropped attributes (Section 6).
-//     Two drop strategies are provided: the classical
-//     supplementary-relation rule and the paper's renaming heuristic
-//     (Section 6.2) which can drop attributes the classical rule must
-//     keep, as in Example 6.1. GSR sizes depend on the order, so the
-//     optimizer is a branch-and-bound over subgoal prefixes.
+//     IR_i with a per-step annotation of dropped attributes (Section 6),
+//     under the classical supplementary-relation rule or the paper's
+//     renaming heuristic (Section 6.2), which can drop attributes the
+//     classical rule must keep, as in Example 6.1. Under the classical
+//     rule a dropped variable never occurs again, so GSR(S) =
+//     π_keep(S)(⋈S) with keep(S) = vars(S) ∩ (head ∪ vars(rest)): it too
+//     depends on the set S alone. Under the heuristic it depends on S and
+//     the renames the drops applied to it.
 //
-// Sizes are measured on an engine.Database (the closed-world setting:
-// views are materialized) — by executing the joins, or by counting them
-// where only the size matters — not estimated. Both optimizers take an
-// upper bound on the cost of interest, so a caller comparing candidate
-// rewritings passes the best cost it holds.
+// Both models are ordered by one search over those states (lattice),
+// sizing M2's by count-only probes and M3's by materializing them. Sizes
+// are measured on an engine.Database (the closed-world setting: views are
+// materialized), not estimated. The search takes an upper bound on the
+// cost of interest, so a caller comparing candidate rewritings passes the
+// best cost it holds.
 package cost
 
 import (

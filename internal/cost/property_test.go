@@ -81,6 +81,10 @@ func TestQuickBestPlanM2Optimal(t *testing.T) {
 		}
 		return best.Cost == exh.Cost
 	}
+	// Two orders tie at cost 145 here; the bound used to pick the other.
+	if !f(3749240544563444136) {
+		t.Error("seed 3749240544563444136: the bounded search's plan differs from the unbounded one")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}

@@ -8,19 +8,20 @@ import (
 
 // IRCache memoizes intermediate relations across the planner's
 // candidate-rewriting loop. The hundreds of minimal rewritings CoreCover
-// produces for one query share view tuples, so the M2 subset-lattice
-// search and the M3 order search keep re-materializing joins over the
-// same subgoal sets; the cache hands back the relation computed the
-// first time instead.
+// produces for one query share view tuples, so the cost optimizers' one
+// order search (the subset lattice, under M2 and M3 alike) keeps
+// re-materializing joins over the same subgoal sets; the cache hands
+// back the relation computed the first time instead.
 //
-// Keys are chosen by the caller (the cost optimizers): for M2, the
-// canonical sorted set of subgoal atom strings — any join order over
-// the same set yields the same set of rows, so a cached relation is
-// reusable across orders and rewritings, modulo a column permutation
-// that IRLookup applies. For M3, the ordered chain of (atom, retained
-// variables) — generalized supplementary relations are history-
-// dependent (a dropped variable rebinds freshly on re-join), so only an
-// identical prefix chain may be reused.
+// Keys are chosen by the caller (the cost optimizers) and name what
+// determines the relation, never an order. For M2, the canonical sorted
+// set of subgoal atom strings: any join order over the same set yields
+// the same rows. For M3, the same sorted set with the renames the drops
+// applied to it (fresh names numbered by first occurrence) plus the
+// retained variables: a generalized supplementary relation is the
+// projection of that renamed join. A cached relation is reusable across
+// orders and rewritings, modulo a column permutation that IRLookup
+// applies.
 //
 // The M2 search orders subgoals by the sizes of intermediate relations
 // and materializes few of them, so the cache also memoizes exact sizes

@@ -84,12 +84,9 @@ const (
 	// CtrJoinRows counts rows in intermediate join results (for a
 	// streaming join, the rows it emitted).
 	CtrJoinRows
-	// CtrOptStates counts optimizer search states expanded (M2 lattice
-	// nodes popped).
+	// CtrOptStates counts join-order search states settled (lattice
+	// states popped, under M2 and M3 alike).
 	CtrOptStates
-	// CtrOptOrders counts complete join orders the M3 branch-and-bound
-	// reached (orders cut at a prefix are not counted).
-	CtrOptOrders
 	// CtrFilterCandidates counts filter literals tried (Section 5.1).
 	CtrFilterCandidates
 	// CtrFiltersAdded counts filter literals that lowered the cost.
@@ -162,7 +159,6 @@ var counterNames = [NumCounters]string{
 	CtrJoinSteps:        "join_steps",
 	CtrJoinRows:         "join_rows",
 	CtrOptStates:        "opt_states",
-	CtrOptOrders:        "opt_orders",
 	CtrFilterCandidates: "filter_candidates",
 	CtrFiltersAdded:     "filters_added",
 	CtrJoinProbeRows:    "join_probe_rows",

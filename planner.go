@@ -18,7 +18,7 @@ type PlanRequest struct {
 	Model CostModel
 	// Strategy selects the M3 drop rule. The zero value is
 	// SupplementaryRelations; set RenamingHeuristic for the paper's
-	// Section 6.2 rule.
+	// Section 6.2 rule. Any other value is an error under M3.
 	Strategy DropStrategy
 	// DisableFilters skips the Section 5.1 filter-augmentation pass
 	// under M2.
@@ -175,11 +175,7 @@ func PlanQuery(db *Database, q *Query, vs *ViewSet, req PlanRequest) (*PlanResul
 		case M2:
 			plan, err = cost.BestPlanM2Below(db, p, bound)
 		case M3:
-			strategy := req.Strategy
-			if strategy != SupplementaryRelations {
-				strategy = RenamingHeuristic
-			}
-			plan, err = cost.BestPlanM3Below(db, p, strategy, q, vs, bound)
+			plan, err = cost.BestPlanM3Below(db, p, req.Strategy, q, vs, bound)
 		default:
 			return nil, fmt.Errorf("viewplan: unknown cost model %v", req.Model)
 		}

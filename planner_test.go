@@ -166,6 +166,34 @@ func TestPlanQueryM3DefaultStrategy(t *testing.T) {
 	}
 }
 
+// A DropStrategy that names neither rule is an error at both M3 entry
+// points, rather than one rule through PlanQuery and the other through
+// BestPlanM3.
+func TestUnknownDropStrategyRejected(t *testing.T) {
+	vs, err := viewplan.ParseViews("v(A, B) :- e(A, B).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := viewplan.MustParseQuery("q(A) :- e(A, B)")
+	db := viewplan.NewDatabase()
+	if err := db.LoadFacts("e(1, 2). e(1, 3)."); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.MaterializeViews(vs); err != nil {
+		t.Fatal(err)
+	}
+	unknown := viewplan.DropStrategy(2)
+	if got := unknown.String(); got != "DropStrategy(2)" {
+		t.Errorf("String() = %q", got)
+	}
+	if res, err := viewplan.PlanQuery(db, q, vs, viewplan.PlanRequest{Model: viewplan.M3, Strategy: unknown}); err == nil {
+		t.Errorf("PlanQuery planned under %v: %s", unknown, res.Plan)
+	}
+	if plan, err := viewplan.BestPlanM3(db, viewplan.MustParseQuery("q(A) :- v(A, B)"), unknown, q, vs); err == nil {
+		t.Errorf("BestPlanM3 planned under %v: %s", unknown, plan)
+	}
+}
+
 func TestPlanQueryNoRewriting(t *testing.T) {
 	vs, err := viewplan.ParseViews("v1(M, D, C) :- car(M, D), loc(D, C).")
 	if err != nil {
