@@ -20,10 +20,11 @@ type repCheck struct {
 }
 
 // atomSpec is the compiled form of one subgoal joined against a current
-// intermediate schema. JoinStep and the streaming operators (iterator.go,
-// symjoin.go) compile the same spec, so both paths classify positions,
-// check constants, and order new columns identically — the foundation of
-// the byte-identity argument in DESIGN §16.
+// intermediate schema. JoinStep, JoinCount and the streaming join
+// (StreamJoin, iterator.go) compile the same spec, so every path
+// classifies positions, checks constants, and orders new columns
+// identically — the foundation of the byte-identity argument in
+// DESIGN §16.
 type atomSpec struct {
 	rel *Relation
 	out Schema // cur ++ atom's new vars in first-occurrence order

@@ -313,7 +313,7 @@ func JoinSchema(cur Schema, atom cq.Atom) Schema {
 var joinRowsHist = obs.Process.Histogram(obs.HistJoinRows)
 
 // JoinStep joins the current intermediate relation with one subgoal's
-// relation: a hash join on the variables shared between the intermediate
+// relation: an index join on the variables shared between the intermediate
 // schema and the atom, with constant and repeated-variable positions of
 // the atom checked on the fly. If retain is non-nil the result is
 // projected onto those variables (set semantics); otherwise every
@@ -322,16 +322,16 @@ var joinRowsHist = obs.Process.Histogram(obs.HistJoinRows)
 // see SetStrictPredicates).
 //
 // The kernel runs entirely on interned rows: the build side is the
-// relation's cached integer index on the join columns, the probe side
-// packs each left row's join values into a machine word (or a reused
-// byte buffer beyond two columns), and output rows are appended straight
-// to the result. The unprojected join needs no dedup set: cur and the
-// stored relation are sets, and an output row determines both the left
-// row (its prefix) and the right row (join columns from the left, new
-// columns from the output, the rest pinned by the constant and
-// repeated-variable checks), so no two matches collide. The result's set
-// is left nil and rebuilt only if someone inserts into it; Project
-// dedups the retain != nil case.
+// relation's cached rowIndex on the join columns (direct-address for a
+// dense one-column key, hashed otherwise), the probe side gathers each
+// left row's join values into a reused key, and output rows are
+// appended straight to the result. The unprojected join needs no dedup
+// set: cur and the stored relation are sets, and an output row
+// determines both the left row (its prefix) and the right row (join
+// columns from the left, new columns from the output, the rest pinned
+// by the constant and repeated-variable checks), so no two matches
+// collide. The result's set is left nil and rebuilt only if someone
+// inserts into it; Project dedups the retain != nil case.
 func (db *Database) JoinStep(cur *VarRelation, atom cq.Atom, retain []cq.Var) (*VarRelation, error) {
 	tr := db.Tracer()
 	sp := tr.Start(obs.PhaseEngineJoin)

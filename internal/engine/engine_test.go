@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"viewplan/internal/cq"
@@ -258,29 +259,40 @@ func TestIndexOnCachingAndInvalidation(t *testing.T) {
 	r.Insert(Tuple{"a", "1"})
 	r.Insert(Tuple{"a", "2"})
 	r.Insert(Tuple{"b", "1"})
-	idx := r.IndexOn([]int{0})
-	if len(idx) != 2 || len(idx[Tuple{"a"}.Key()]) != 2 {
-		t.Fatalf("index = %v", idx)
+	bucket := func(cols []int, key ...Value) []int32 {
+		ids := make([]uint32, len(key))
+		for i, v := range key {
+			ids[i] = r.in.ID(v)
+		}
+		return r.indexFor(cols).bucket(ids)
 	}
-	// Cached: same map returned.
-	if &idx == nil || len(r.IndexOn([]int{0})) != 2 {
+	idx := r.indexFor([]int{0})
+	if got := bucket([]int{0}, "a"); !slices.Equal(got, []int32{0, 1}) {
+		t.Fatalf("bucket(a) = %v, want [0 1]", got)
+	}
+	// Cached: same index returned.
+	if r.indexFor([]int{0}) != idx {
 		t.Error("index not cached")
 	}
 	// Different column set: separate index.
-	idx2 := r.IndexOn([]int{1})
-	if len(idx2) != 2 {
-		t.Fatalf("index2 = %v", idx2)
+	idx2 := r.indexFor([]int{1})
+	if idx2 == idx {
+		t.Fatal("column sets {0} and {1} share an index")
+	}
+	if got := bucket([]int{1}, "1"); !slices.Equal(got, []int32{0, 2}) {
+		t.Fatalf("bucket on column 1 = %v, want [0 2]", got)
 	}
 	// Insert invalidates.
 	r.Insert(Tuple{"c", "3"})
-	idx3 := r.IndexOn([]int{0})
-	if len(idx3) != 3 {
-		t.Errorf("stale index after insert: %v", idx3)
+	if r.indexFor([]int{0}) == idx || r.indexFor([]int{1}) == idx2 {
+		t.Error("stale index after insert")
+	}
+	if got := bucket([]int{0}, "c"); !slices.Equal(got, []int32{3}) {
+		t.Errorf("bucket(c) after insert = %v, want [3]", got)
 	}
 	// Empty column set: one bucket with every row.
-	all := r.IndexOn(nil)
-	if len(all) != 1 || len(all[Tuple{}.Key()]) != 4 {
-		t.Errorf("empty-cols index = %v", all)
+	if got := bucket(nil); !slices.Equal(got, []int32{0, 1, 2, 3}) {
+		t.Errorf("empty-cols bucket = %v", got)
 	}
 }
 

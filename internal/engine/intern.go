@@ -131,26 +131,59 @@ func (s *rowSet) has(ids []uint32) bool {
 	return ok
 }
 
-// rowIndex is a hash index over a relation's interned rows for one
-// column set: buckets of row numbers keyed by the packed column values.
+// directSpan bounds the direct layout: a one-column key is indexed by
+// address when its id span hi−lo+1 is at most directSpan times the row
+// count, so the offset array never outweighs the row slab by more than
+// that factor. Wider spans hash.
+const directSpan = 4
+
+// rowIndex is a relation's join index on one column set, built in one
+// go by buildRowIndex; nothing inserts into it afterwards. bucket(key)
+// is the row numbers whose columns equal key, in row order, whichever
+// layout the build chose.
+//
+// Direct (one column, dense ids): a counting sort. The rows with id
+// lo+k are slab[off[k]:off[k+1]], so a probe is two array loads and a
+// slice, with no hashing and no per-bucket allocation.
+//
+// Hash (zero or several columns, or a sparse span): buckets of row
+// numbers keyed by the packed column values.
 type rowIndex struct {
+	lo   uint32
+	off  []int32 // direct layout when non-nil; len = span+1
+	slab []int32
+
 	width  int
 	narrow map[uint64][]int32
 	wide   map[string][]int32
 	buf    []byte
 }
 
-func newRowIndex(width int) *rowIndex {
-	ix := &rowIndex{width: width}
-	if width <= 2 {
+// buildRowIndex indexes r's rows on the given columns.
+func buildRowIndex(r *Relation, cols []int) *rowIndex {
+	if len(cols) == 1 && r.n > 0 {
+		if ix := buildDirect(r, cols[0]); ix != nil {
+			return ix
+		}
+	}
+	ix := &rowIndex{width: len(cols)}
+	if ix.width <= 2 {
 		ix.narrow = make(map[uint64][]int32)
 	} else {
 		ix.wide = make(map[string][]int32)
 	}
+	key := make([]uint32, len(cols))
+	for i := 0; i < r.n; i++ {
+		row := r.irow(i)
+		for k, c := range cols {
+			key[k] = row[c]
+		}
+		ix.insert(key, int32(i))
+	}
 	return ix
 }
 
-// insert files row number ri under the key values.
+// insert files row number ri under the key values (hash layout).
 func (ix *rowIndex) insert(key []uint32, ri int32) {
 	if ix.width <= 2 {
 		k := packNarrow(key)
@@ -161,8 +194,46 @@ func (ix *rowIndex) insert(key []uint32, ri int32) {
 	ix.wide[string(ix.buf)] = append(ix.wide[string(ix.buf)], ri)
 }
 
+// buildDirect builds the direct layout on column c of a non-empty
+// relation, or returns nil when the column's id span is too sparse.
+func buildDirect(r *Relation, c int) *rowIndex {
+	lo, hi := r.data[c], r.data[c]
+	for i := c; i < len(r.data); i += r.Arity {
+		lo, hi = min(lo, r.data[i]), max(hi, r.data[i])
+	}
+	if uint64(hi-lo) >= directSpan*uint64(r.n) {
+		return nil
+	}
+	// Count id lo+k at off[k+2]; the prefix sum then leaves bucket k's
+	// start at off[k+1], and filling rows in order advances it to bucket
+	// k's end, which is bucket k+1's start: off[k:k+2] brackets bucket k.
+	span := int(hi-lo) + 1
+	off := make([]int32, span+2)
+	for i := c; i < len(r.data); i += r.Arity {
+		off[r.data[i]-lo+2]++
+	}
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	slab := make([]int32, r.n)
+	for i := 0; i < r.n; i++ {
+		k := r.data[i*r.Arity+c] - lo + 1
+		slab[off[k]] = int32(i)
+		off[k]++
+	}
+	return &rowIndex{lo: lo, off: off[:span+1], slab: slab}
+}
+
 // bucket returns the row numbers matching the key values (probe side).
 func (ix *rowIndex) bucket(key []uint32) []int32 {
+	if ix.off != nil {
+		// An id below lo wraps to a huge k and fails the bound too.
+		k := key[0] - ix.lo
+		if uint(k) >= uint(len(ix.off)-1) {
+			return nil
+		}
+		return ix.slab[ix.off[k]:ix.off[k+1]]
+	}
 	if ix.width <= 2 {
 		return ix.narrow[packNarrow(key)]
 	}

@@ -3,8 +3,13 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
+	"testing/quick"
 
 	"viewplan/internal/cq"
 	"viewplan/internal/obs"
@@ -70,20 +75,14 @@ func TestPackNarrowCollisionFree(t *testing.T) {
 	}
 }
 
-// The regression the relation.go comment promises: IndexOn returns the
-// identical cached map until an insert, after which a rebuilt index
-// reflecting the new row is returned. The interned kernel index follows
-// the same contract.
+// The regression the relation.go comment promises: indexFor returns the
+// identical cached index until an insert, after which a rebuilt index
+// reflecting the new row is returned.
 func TestIndexOnCacheIdentityInvalidatedByInsert(t *testing.T) {
 	r := NewRelation("e", 2)
 	r.Insert(Tuple{"a", "1"})
 	r.Insert(Tuple{"b", "2"})
 
-	idx1 := r.IndexOn([]int{0})
-	idx2 := r.IndexOn([]int{0})
-	if reflect.ValueOf(idx1).Pointer() != reflect.ValueOf(idx2).Pointer() {
-		t.Error("repeated IndexOn did not return the cached map")
-	}
 	ix1 := r.indexFor([]int{0})
 	if r.indexFor([]int{0}) != ix1 {
 		t.Error("repeated indexFor did not return the cached index")
@@ -93,29 +92,202 @@ func TestIndexOnCacheIdentityInvalidatedByInsert(t *testing.T) {
 	if r.Insert(Tuple{"a", "1"}) {
 		t.Fatal("duplicate insert reported new")
 	}
-	if reflect.ValueOf(r.IndexOn([]int{0})).Pointer() != reflect.ValueOf(idx1).Pointer() {
+	if r.indexFor([]int{0}) != ix1 {
 		t.Error("duplicate insert invalidated the cached index")
 	}
 
-	// A real insert rebuilds both indexes with the new row visible.
+	// A real insert rebuilds the index with the new row visible.
 	r.Insert(Tuple{"c", "3"})
-	idx3 := r.IndexOn([]int{0})
-	if reflect.ValueOf(idx3).Pointer() == reflect.ValueOf(idx1).Pointer() {
-		t.Error("insert did not invalidate the cached string index")
-	}
-	if len(idx3[Tuple{"c"}.Key()]) != 1 {
-		t.Errorf("rebuilt index misses the new row: %v", idx3)
-	}
 	ix3 := r.indexFor([]int{0})
 	if ix3 == ix1 {
-		t.Error("insert did not invalidate the cached interned index")
+		t.Error("insert did not invalidate the cached index")
 	}
 	id, ok := r.in.Lookup("c")
 	if !ok {
 		t.Fatal("value not interned")
 	}
-	if got := ix3.bucket([]uint32{id}); len(got) != 1 {
-		t.Errorf("rebuilt interned index misses the new row: %v", got)
+	if got := ix3.bucket([]uint32{id}); len(got) != 1 || got[0] != 2 {
+		t.Errorf("rebuilt index misses the new row: %v", got)
+	}
+}
+
+// scanBucket is the reference for rowIndex.bucket: the row numbers whose
+// columns equal key, found by a linear scan in row order.
+func scanBucket(r *Relation, cols []int, key []uint32) []int32 {
+	var out []int32
+	for i := 0; i < r.n; i++ {
+		row := r.irow(i)
+		match := true
+		for k, c := range cols {
+			match = match && row[c] == key[k]
+		}
+		if match {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// columnLists returns every list of distinct columns of an arity-3
+// relation, in every order: widths 0 through 3.
+func columnLists() [][]int {
+	lists := [][]int{nil}
+	for _, l := range [][]int{{0}, {1}, {2}} {
+		lists = append(lists, l)
+		for _, c := range []int{0, 1, 2} {
+			if c == l[0] {
+				continue
+			}
+			l2 := []int{l[0], c}
+			lists = append(lists, l2, []int{l2[0], l2[1], 3 - l2[0] - l2[1]})
+		}
+	}
+	return lists
+}
+
+// randomIndexedRelation builds an arity-3 relation of 0–49 rows. Half
+// the draws intern filler symbols before every row, so the ids a row
+// introduces lie far apart and its columns' spans go sparse.
+func randomIndexedRelation(rnd *rand.Rand) *Relation {
+	r := NewRelation("r", 3)
+	pad := func(k int) {
+		for ; k > 0; k-- {
+			r.in.ID(Value("pad" + strconv.Itoa(r.in.Len())))
+		}
+	}
+	pad(rnd.Intn(4)) // so lo is usually above id 0
+	n := rnd.Intn(50)
+	sparse := rnd.Intn(2) == 0
+	pool := 1 + rnd.Intn(2*n+1)
+	row := make(Tuple, 3)
+	for i := 0; i < n; i++ {
+		if sparse {
+			pad(4 + rnd.Intn(8))
+		}
+		for j := range row {
+			row[j] = Value("v" + strconv.Itoa(rnd.Intn(pool)))
+		}
+		r.Insert(row)
+	}
+	return r
+}
+
+// checkRowIndex probes every index of r against scanBucket. One-column
+// keys are probed with every interned id, one past the last, and the
+// largest id: below lo, above hi, and absent inside the span. Wider keys
+// are probed with every row's key and with that key one id off. It
+// returns the number of direct one-column indexes it saw.
+func checkRowIndex(r *Relation, rnd *rand.Rand) (direct int, err error) {
+	ids := []uint32{math.MaxUint32}
+	for id := 0; id <= r.in.Len(); id++ {
+		ids = append(ids, uint32(id))
+	}
+	for _, cols := range columnLists() {
+		ix := r.indexFor(cols)
+		var keys [][]uint32
+		switch len(cols) {
+		case 0:
+			keys = [][]uint32{{}}
+		case 1:
+			if ix.off != nil {
+				direct++
+			}
+			for _, id := range ids {
+				keys = append(keys, []uint32{id})
+			}
+		default:
+			for i := 0; i < r.n; i++ {
+				key := make([]uint32, len(cols))
+				for k, c := range cols {
+					key[k] = r.irow(i)[c]
+				}
+				miss := slices.Clone(key)
+				miss[rnd.Intn(len(miss))] = ids[rnd.Intn(len(ids))]
+				keys = append(keys, key, miss)
+			}
+		}
+		for _, key := range keys {
+			if got, want := ix.bucket(key), scanBucket(r, cols, key); !slices.Equal(got, want) {
+				return direct, fmt.Errorf("%d rows, cols %v, key %v: bucket %v, scan %v", r.n, cols, key, got, want)
+			}
+		}
+	}
+	return direct, nil
+}
+
+// Both rowIndex layouts return exactly what a linear scan finds, in row
+// order, for every column list and probe key, including the empty and
+// one-row relations.
+func TestRowIndexMatchesScan(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	empty := NewRelation("r", 3)
+	one := NewRelation("r", 3)
+	one.Insert(Tuple{"a", "b", "a"})
+	for _, r := range []*Relation{empty, one} {
+		if _, err := checkRowIndex(r, rnd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct, hashed := 0, 0
+	f := func(seed int64) bool {
+		rnd := rand.New(rand.NewSource(absSeed(seed)))
+		d, err := checkRowIndex(randomIndexedRelation(rnd), rnd)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		direct, hashed = direct+d, hashed+3-d
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	} else if direct == 0 || hashed == 0 {
+		t.Errorf("one-column indexes: %d direct, %d hashed; the draws must exercise both layouts", direct, hashed)
+	}
+}
+
+// The layout is chosen from the relation at build time: a dense column
+// is direct, a sparse column and a two-column key hash, and an insert
+// whose id lies beyond the old span rebuilds a direct index that finds
+// the new row.
+func TestRowIndexLayoutChoice(t *testing.T) {
+	r := NewRelation("e", 2)
+	for i := 0; i < 10; i++ {
+		r.Insert(Tuple{Value("k" + strconv.Itoa(i)), "x"})
+	}
+	if r.indexFor([]int{0}).off == nil {
+		t.Error("dense column 0 hashed")
+	}
+	if r.indexFor([]int{0, 1}).off != nil {
+		t.Error("two-column key took the direct layout")
+	}
+	// After 40 fresh symbols "far" gets id 51: 52 ids over 11 rows.
+	for i := 0; i < 40; i++ {
+		r.in.ID(Value("pad" + strconv.Itoa(i)))
+	}
+	r.Insert(Tuple{"far", "x"})
+	if r.indexFor([]int{0}).off != nil {
+		t.Error("sparse column 0 took the direct layout")
+	}
+	// Ten more rows over the padding make the span dense again.
+	for i := 0; i < 10; i++ {
+		r.Insert(Tuple{Value("pad" + strconv.Itoa(i)), "y"})
+	}
+	old := r.indexFor([]int{0})
+	if old.off == nil {
+		t.Fatal("column 0 hashed after it became dense")
+	}
+	r.Insert(Tuple{"next", "z"}) // beyond the old index's hi
+	ix := r.indexFor([]int{0})
+	if ix == old || ix.off == nil {
+		t.Fatal("insert beyond hi did not rebuild a direct index")
+	}
+	id, _ := r.in.Lookup("next")
+	if got := ix.bucket([]uint32{id}); !slices.Equal(got, []int32{21}) {
+		t.Errorf("bucket(next) = %v, want [21]", got)
+	}
+	if got := old.bucket([]uint32{id}); len(got) != 0 {
+		t.Errorf("old index bucket(next) = %v, want empty", got)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package engine is a small in-memory relational engine: named relations
-// with set semantics, conjunctive-query evaluation by pipelined hash
+// with set semantics, conjunctive-query evaluation by pipelined index
 // joins, and view materialization. It is the execution substrate for the
 // cost models of Sections 5 and 6 — physical plans are simulated on real
 // data so intermediate-relation and generalized-supplementary-relation
@@ -13,6 +13,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,9 +50,10 @@ func (t Tuple) Clone() Tuple {
 // Relation is a named relation with set semantics: inserting a duplicate
 // row is a no-op. Rows are stored as interned ids in one flat slice
 // (Arity ids per row), so an insert costs one map probe and an append,
-// no per-row allocation. Hash indexes built for joins are cached per
-// column set and invalidated by inserts, so repeated planning over the
-// same materialized views (the optimizer probes each view relation many
+// no per-row allocation. Join indexes (rowIndex: direct-address for a
+// dense one-column key, hashed otherwise) are cached per column set and
+// invalidated by inserts, so repeated planning over the same
+// materialized views (the optimizer probes each view relation many
 // times) pays the index build once.
 type Relation struct {
 	Name  string
@@ -65,8 +67,13 @@ type Relation struct {
 	rows    []Tuple // lazy string-row cache: first len(rows) of the n rows
 	scratch []uint32
 
-	indexes  map[string]map[string][]Tuple // string-keyed API (IndexOn)
-	iindexes map[string]*rowIndex          // interned indexes (join kernel)
+	indexes []colsIndex // join indexes by column set (indexFor)
+}
+
+// colsIndex is one cached join index and the columns it keys on.
+type colsIndex struct {
+	cols []int
+	ix   *rowIndex
 }
 
 // NewRelation creates an empty standalone relation with its own private
@@ -109,68 +116,25 @@ func (r *Relation) insertIDs(ids []uint32) bool {
 	r.data = append(r.data, ids...)
 	r.n++
 	r.indexes = nil // cached indexes are stale
-	r.iindexes = nil
 	if r.gen != nil {
 		*r.gen++
 	}
 	return true
 }
 
-// IndexOn returns a hash index of the relation keyed by the values at
-// the given columns, building and caching it on first use. The returned
-// map must not be modified. An empty column list yields a single bucket
-// holding every row.
-func (r *Relation) IndexOn(cols []int) map[string][]Tuple {
-	sig := colsKey(cols)
-	if idx, ok := r.indexes[sig]; ok {
-		return idx
-	}
-	idx := make(map[string][]Tuple)
-	key := make(Tuple, len(cols))
-	for _, row := range r.Rows() {
-		for k, c := range cols {
-			key[k] = row[c]
-		}
-		s := key.Key()
-		idx[s] = append(idx[s], row)
-	}
-	if r.indexes == nil {
-		r.indexes = make(map[string]map[string][]Tuple)
-	}
-	r.indexes[sig] = idx
-	return idx
-}
-
-// indexFor returns the interned hash index on the given columns for the
-// join kernel, building and caching it on first use.
+// indexFor returns the join index on the given columns, building and
+// caching it on first use. A relation is joined on a handful of column
+// sets at most, so the cache is a list scanned by value: a lookup
+// allocates nothing.
 func (r *Relation) indexFor(cols []int) *rowIndex {
-	sig := colsKey(cols)
-	if ix, ok := r.iindexes[sig]; ok {
-		return ix
-	}
-	ix := newRowIndex(len(cols))
-	key := make([]uint32, len(cols))
-	for i := 0; i < r.n; i++ {
-		row := r.irow(i)
-		for k, c := range cols {
-			key[k] = row[c]
+	for _, e := range r.indexes {
+		if slices.Equal(e.cols, cols) {
+			return e.ix
 		}
-		ix.insert(key, int32(i))
 	}
-	if r.iindexes == nil {
-		r.iindexes = make(map[string]*rowIndex)
-	}
-	r.iindexes[sig] = ix
+	ix := buildRowIndex(r, cols)
+	r.indexes = append(r.indexes, colsIndex{slices.Clone(cols), ix})
 	return ix
-}
-
-func colsKey(cols []int) string {
-	var b strings.Builder
-	for _, c := range cols {
-		b.WriteString(strconv.Itoa(c))
-		b.WriteByte(',')
-	}
-	return b.String()
 }
 
 // Size returns the number of rows.

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -60,13 +61,15 @@ type listPackage struct {
 	DepOnly      bool
 	ForTest      string
 	Imports      []string
+	Deps         []string // transitive imports
 }
 
 // Load resolves patterns with `go list -e -json -deps -test` from dir,
 // type-checks every pattern-matched package from source — *including*
 // its _test.go files: in-package test sources are merged into the
 // package's check, and external _test packages are checked as their own
-// package against the test-augmented import — and returns the pattern
+// package against the test-augmented import (and its dependents,
+// rechecked against it) — and returns the pattern
 // packages followed by their external test packages. The -race soaks
 // live in test files; sweeping them is the point of the concurrency
 // analyzers.
@@ -209,7 +212,7 @@ func (ld *lazyLoader) checkAugmented(lp *listPackage) (*Package, error) {
 // checkXTest checks a package's external _test package against the
 // test-augmented import of the package under test.
 func (ld *lazyLoader) checkXTest(lp *listPackage, augmented *types.Package) (*Package, error) {
-	imp := &overlayImporter{base: ld, path: lp.ImportPath, pkg: augmented}
+	imp := &overlayImporter{base: ld, path: lp.ImportPath, pkg: augmented, recheck: make(map[string]*types.Package)}
 	path := lp.ImportPath + "_test"
 	tpkg, files, info, err := ld.check(path, lp.Dir, lp.XTestGoFiles, nil, imp)
 	if err != nil {
@@ -252,18 +255,33 @@ func (ld *lazyLoader) check(path, dir string, names, extra []string, imp types.I
 
 // overlayImporter serves one import path from a pre-checked package
 // (the test-augmented package under test) and everything else from the
-// base loader.
+// base loader. As `go test` recompiles them, a dependency that itself
+// imports the package under test is rechecked against the augmented
+// package, so an external test can pass that package's values to it.
 type overlayImporter struct {
-	base *lazyLoader
-	path string
-	pkg  *types.Package
+	base    *lazyLoader
+	path    string
+	pkg     *types.Package
+	recheck map[string]*types.Package
 }
 
 func (o *overlayImporter) Import(path string) (*types.Package, error) {
 	if path == o.path {
 		return o.pkg, nil
 	}
-	return o.base.Import(path)
+	if p, ok := o.recheck[path]; ok {
+		return p, nil
+	}
+	lp, ok := o.base.entries[path]
+	if !ok || !slices.Contains(lp.Deps, o.path) {
+		return o.base.Import(path)
+	}
+	p, _, _, err := o.base.check(path, lp.Dir, lp.GoFiles, nil, o)
+	if err != nil {
+		return nil, err
+	}
+	o.recheck[path] = p
+	return p, nil
 }
 
 // LoadDir parses and type-checks the .go files of a single directory as

@@ -42,7 +42,7 @@ const (
 	PhaseM2Optimizer     = "m2-optimizer"
 	PhaseM3Optimizer     = "m3-optimizer"
 	PhaseFilterSelection = "filter-selection"
-	// PhaseEngineJoin wraps one call into the engine's hash-join kernel:
+	// PhaseEngineJoin wraps one call into the engine's join kernel:
 	// a JoinStep materializing an intermediate relation or a JoinCount
 	// sizing one. It nests under whichever optimizer phase drove it.
 	PhaseEngineJoin = "engine-join"
@@ -92,7 +92,7 @@ const (
 	// CtrFiltersAdded counts filter literals that lowered the cost.
 	CtrFiltersAdded
 	// CtrJoinProbeRows counts candidate rows pulled from join-index
-	// buckets by the engine's hash-join kernel (probe-side work, before
+	// buckets by the engine's join kernel (probe-side work, before
 	// constant and repeated-variable filtering), whether the kernel was
 	// materializing the join or only counting it.
 	CtrJoinProbeRows
