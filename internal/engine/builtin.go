@@ -9,7 +9,8 @@ import (
 // FilterComparisons keeps the rows of vr satisfying every built-in
 // comparison (Section 8 extension: queries and views with built-in
 // predicates evaluate by filtering the relational join). Every compared
-// variable must be in the schema; constants pass through.
+// variable must be in the schema; constants pass through. A subset of a
+// set is a set, so kept rows are appended without a dedup table.
 func FilterComparisons(vr *VarRelation, comps []cq.Comparison) (*VarRelation, error) {
 	if len(comps) == 0 {
 		return vr, nil
@@ -65,7 +66,7 @@ func FilterComparisons(vr *VarRelation, comps []cq.Comparison) (*VarRelation, er
 			}
 		}
 		if ok {
-			out.insertIDs(row)
+			out.appendRow(row)
 		}
 	}
 	return out, nil

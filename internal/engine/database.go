@@ -174,8 +174,10 @@ func (db *Database) Evaluate(q *cq.Query) (*Relation, error) {
 // relation: head variables copy through from the schema, head constants
 // are interned once. This is the tail of Evaluate, shared with the plan
 // executors in internal/cost so both paths assemble answer relations
-// identically. bumpGen is as in DrainStream: query evaluation advances
-// the database generation, plan execution does not.
+// identically. A head that keeps every column of vr (an identity view,
+// say) yields distinct rows from distinct rows, so they are appended
+// without a dedup table. bumpGen is as in DrainStream: query evaluation
+// advances the database generation, plan execution does not.
 func (db *Database) ProjectHead(vr *VarRelation, head cq.Atom, bumpGen bool) (*Relation, error) {
 	var gen *uint64
 	if bumpGen {
@@ -206,6 +208,7 @@ func (db *Database) ProjectHead(vr *VarRelation, head cq.Atom, bumpGen bool) (*R
 				constIDs[i] = db.in.ID(consts[i])
 			}
 		}
+		distinct := keepsAll(cols, len(vr.Schema))
 		for ri := 0; ri < vr.n; ri++ {
 			row := vr.irow(ri)
 			for i, c := range cols {
@@ -215,7 +218,11 @@ func (db *Database) ProjectHead(vr *VarRelation, head cq.Atom, bumpGen bool) (*R
 					buf[i] = row[c]
 				}
 			}
-			out.insertIDs(buf)
+			if distinct {
+				out.appendRow(buf)
+			} else {
+				out.insertIDs(buf)
+			}
 		}
 		return out, nil
 	}
@@ -330,8 +337,8 @@ var joinRowsHist = obs.Process.Histogram(obs.HistJoinRows)
 // determines both the left row (its prefix) and the right row (join
 // columns from the left, new columns from the output, the rest pinned
 // by the constant and repeated-variable checks), so no two matches
-// collide. The result's set is left nil and rebuilt only if someone
-// inserts into it; Project dedups the retain != nil case.
+// collide. The result builds no dedup table unless someone inserts
+// into it (VarRelation.set); Project dedups the retain != nil case.
 func (db *Database) JoinStep(cur *VarRelation, atom cq.Atom, retain []cq.Var) (*VarRelation, error) {
 	tr := db.Tracer()
 	sp := tr.Start(obs.PhaseEngineJoin)
@@ -342,7 +349,7 @@ func (db *Database) JoinStep(cur *VarRelation, atom cq.Atom, retain []cq.Var) (*
 	}
 	rel := spec.rel
 	outSchema := spec.out
-	out := &VarRelation{Schema: outSchema, in: db.in}
+	out := newVarRelationIn(outSchema, db.in)
 	probed := 0
 	if !spec.impossible && rel.n > 0 && cur.n > 0 {
 		w := len(cur.Schema)

@@ -1,43 +1,75 @@
 package engine
 
-import "encoding/binary"
+import (
+	"hash/maphash"
+	"math/bits"
+)
 
 // Interner is a symbol table mapping Values (cq.Const) to dense uint32
 // ids. Every relation of a Database shares the database's interner, so
-// tuples are stored and joined as integer rows: equality is id equality,
-// join keys pack into machine words, and the per-probe string building
-// of a naive map[string] design disappears from the hot path. Ids are
-// assigned in first-intern order and never reused; the table only grows.
+// tuples are stored and joined as integer rows: equality is id equality
+// and join keys index arrays directly. Ids are assigned in first-intern
+// order and never reused; the table only grows.
+//
+// The symbols live in vals, indexed by id, beside each one's hash; a
+// slotTable over the ids finds a symbol in one probe sequence per call,
+// and growing it re-places ids by their stored hashes without rehashing
+// a string. The hash seed is per interner, but ids depend only on the
+// order of first sight.
 //
 // An Interner is not safe for concurrent mutation; the engine mutates it
 // only from Insert/JoinStep calls, which follow the Database's own
 // single-writer discipline.
 type Interner struct {
-	ids  map[Value]uint32
-	vals []Value
+	seed   maphash.Seed
+	vals   []Value
+	hashes []uint64 // hashes[id] = maphash of vals[id]
+	tab    slotTable
 }
 
 // NewInterner creates an empty symbol table.
 func NewInterner() *Interner {
-	return &Interner{ids: make(map[Value]uint32)}
+	return &Interner{seed: maphash.MakeSeed()}
+}
+
+// find returns v's id, or -1 and the empty slot where v belongs.
+func (in *Interner) find(v Value, h uint64) (id int32, slot int) {
+	for i := in.tab.home(h); ; i = in.tab.next(i) {
+		e := in.tab.slots[i]
+		if e == 0 {
+			return -1, i
+		}
+		if id := e - 1; in.hashes[id] == h && in.vals[id] == v {
+			return id, i
+		}
+	}
 }
 
 // ID interns v, assigning the next dense id on first sight.
 func (in *Interner) ID(v Value) uint32 {
-	if id, ok := in.ids[v]; ok {
-		return id
+	if in.tab.full(len(in.vals)) {
+		in.tab.grow(len(in.vals), len(in.vals)+1, func(id int) uint64 { return in.hashes[id] })
 	}
-	id := uint32(len(in.vals))
-	in.ids[v] = id
+	h := maphash.String(in.seed, string(v))
+	id, slot := in.find(v, h)
+	if id >= 0 {
+		return uint32(id)
+	}
+	id = int32(len(in.vals))
+	in.tab.slots[slot] = id + 1
 	in.vals = append(in.vals, v)
-	return id
+	in.hashes = append(in.hashes, h)
+	return uint32(id)
 }
 
 // Lookup returns v's id without interning it; ok is false when v has
 // never been seen (no stored tuple can contain it).
 func (in *Interner) Lookup(v Value) (uint32, bool) {
-	id, ok := in.ids[v]
-	return id, ok
+	if len(in.vals) == 0 {
+		return 0, false
+	}
+	id, _ := in.find(v, maphash.String(in.seed, string(v)))
+	return uint32(id), id >= 0
 }
 
 // Value resolves an id back to its symbol.
@@ -56,79 +88,164 @@ func (in *Interner) tuple(ids []uint32) Tuple {
 	return t
 }
 
-// packNarrow packs a row of width ≤ 2 into one collision-free uint64:
-// the fixed-width integer fast path for join probes and seen-sets. The
-// caller guarantees the width; rows of width 0 share the single key 0.
-func packNarrow(ids []uint32) uint64 {
-	switch len(ids) {
+// slotTable is the open-addressing core of the engine's hash tables
+// (Interner, rowSet): a power-of-two array of member numbers, probed
+// linearly from the top bits of a member's 64-bit hash. A slot holds
+// number+1, so 0 marks it empty. The owner keeps the members and
+// compares them; the table only says where to look. The load stays at
+// most ½, so a probe sequence always ends at an empty slot.
+type slotTable struct {
+	slots []int32
+	shift uint // 64 − log2(len(slots))
+}
+
+func (t *slotTable) home(h uint64) int { return int(h >> t.shift) }
+func (t *slotTable) next(i int) int    { return (i + 1) & (len(t.slots) - 1) }
+
+// full reports whether filing member number n, after members 0..n-1,
+// would push the load past ½.
+func (t *slotTable) full(n int) bool { return 2*(n+1) > len(t.slots) }
+
+// grow resizes the table to hold need members at load ½ and re-places
+// members 0..n-1 by hash(number).
+func (t *slotTable) grow(n, need int, hash func(int) uint64) {
+	size := 8
+	for size < 2*need {
+		size *= 2
+	}
+	t.slots = make([]int32, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for k := 0; k < n; k++ {
+		t.place(hash(k), k)
+	}
+}
+
+// place files member number k, known to be absent, at the first empty
+// slot of its probe sequence.
+func (t *slotTable) place(h uint64, k int) {
+	i := t.home(h)
+	for t.slots[i] != 0 {
+		i = t.next(i)
+	}
+	t.slots[i] = int32(k + 1)
+}
+
+// fib is 2⁶⁴/φ, the Fibonacci hashing multiplier.
+const fib = 0x9E3779B97F4A7C15
+
+// mix scatters a word over the top bits a slotTable probes from. One
+// Fibonacci multiply spreads sequential keys perfectly but clusters
+// strided ones (keys with many trailing zeros, such as a packed row
+// whose second column is fixed or whose ids step by 2¹⁶): the product's
+// top bits then see only part of the multiplier. Folding the high half
+// down and multiplying again makes every input bit reach the top.
+func mix(k uint64) uint64 {
+	k *= fib
+	k ^= k >> 32
+	return k * fib
+}
+
+// hashRow hashes an interned row without a seed: a row of width ≤ 2
+// packs into one word, a wider one folds its ids in one at a time.
+func hashRow(row []uint32) uint64 {
+	switch len(row) {
 	case 0:
 		return 0
 	case 1:
-		return uint64(ids[0])
-	default:
-		return uint64(ids[0])<<32 | uint64(ids[1])
+		return mix(uint64(row[0]))
+	case 2:
+		return mix(uint64(row[0])<<32 | uint64(row[1]))
 	}
+	var h uint64
+	for _, id := range row {
+		h = mix(h ^ uint64(id))
+	}
+	return h
 }
 
-// appendIDs appends the little-endian bytes of each id to buf: the
-// collision-free fallback key for rows wider than two columns (fixed
-// width per map, so no length prefixes are needed).
-func appendIDs(buf []byte, ids []uint32) []byte {
-	for _, id := range ids {
-		buf = binary.LittleEndian.AppendUint32(buf, id)
-	}
-	return buf
-}
-
-// rowSet is the set-semantics guard over interned rows: packed uint64
-// keys up to width 2, byte-appended string keys beyond. Lookups are
-// allocation-free (the map[string] probe with a []byte conversion does
-// not allocate); only a genuinely new wide row allocates its key.
+// rowSet is the set-semantics guard over interned rows of one width. It
+// stores no rows: a member is a row number into the owner's flat slab
+// (data, width ids per row), which the owner passes to every call, so
+// no row of any width is stored twice or allocates a key. Members are
+// numbered 0, 1, … in the order they are filed, which is the slab's row
+// order: the owner appends row k to data when add files it as k.
 type rowSet struct {
-	width  int
-	narrow map[uint64]struct{}
-	wide   map[string]struct{}
-	buf    []byte
+	width int
+	n     int // members filed: rows 0..n-1 of the slab
+	tab   slotTable
 }
 
-func newRowSet(width int) *rowSet {
-	s := &rowSet{width: width}
-	if width <= 2 {
-		s.narrow = make(map[uint64]struct{})
-	} else {
-		s.wide = make(map[string]struct{})
+func newRowSet(width int) *rowSet { return &rowSet{width: width} }
+
+// row returns member k's ids in data.
+func (s *rowSet) row(data []uint32, k int32) []uint32 {
+	return data[int(k)*s.width : int(k+1)*s.width]
+}
+
+// lookup returns the number of the member equal to row, or -1 and the
+// empty slot where row belongs.
+func (s *rowSet) lookup(data, row []uint32, h uint64) (k int32, slot int) {
+	for i := s.tab.home(h); ; i = s.tab.next(i) {
+		e := s.tab.slots[i]
+		if e == 0 {
+			return -1, i
+		}
+		if m := s.row(data, e-1); equalRows(m, row) {
+			return e - 1, i
+		}
 	}
-	return s
 }
 
-// add inserts the row, reporting whether it was new. The ids slice is
-// not retained.
-func (s *rowSet) add(ids []uint32) bool {
-	if s.width <= 2 {
-		k := packNarrow(ids)
-		if _, dup := s.narrow[k]; dup {
+// find returns the number of the member equal to row, or -1.
+func (s *rowSet) find(data, row []uint32) int32 {
+	if s.n == 0 {
+		return -1
+	}
+	k, _ := s.lookup(data, row, hashRow(row))
+	return k
+}
+
+// add files row as member s.n unless a member equals it. It returns the
+// number of row's member and whether it was new; when new, the caller
+// appends row to data. The row slice is not retained.
+func (s *rowSet) add(data, row []uint32) (int32, bool) {
+	if s.tab.full(s.n) {
+		s.grow(data, s.n+1)
+	}
+	h := hashRow(row)
+	k, slot := s.lookup(data, row, h)
+	if k >= 0 {
+		return k, false
+	}
+	k = int32(s.n)
+	s.tab.slots[slot] = k + 1
+	s.n++
+	return k, true
+}
+
+// extend files rows s.n..n-1 of data, which the owner guarantees are
+// distinct from each other and from the members: the catch-up for rows
+// appended without probing.
+func (s *rowSet) extend(data []uint32, n int) {
+	if s.n < n && s.tab.full(n-1) {
+		s.grow(data, n)
+	}
+	for ; s.n < n; s.n++ {
+		s.tab.place(hashRow(s.row(data, int32(s.n))), s.n)
+	}
+}
+
+func (s *rowSet) grow(data []uint32, need int) {
+	s.tab.grow(s.n, need, func(k int) uint64 { return hashRow(s.row(data, int32(k))) })
+}
+
+func equalRows(a, b []uint32) bool {
+	for i, id := range b {
+		if a[i] != id {
 			return false
 		}
-		s.narrow[k] = struct{}{}
-		return true
 	}
-	s.buf = appendIDs(s.buf[:0], ids)
-	if _, dup := s.wide[string(s.buf)]; dup {
-		return false
-	}
-	s.wide[string(s.buf)] = struct{}{}
 	return true
-}
-
-// has reports membership without inserting.
-func (s *rowSet) has(ids []uint32) bool {
-	if s.width <= 2 {
-		_, ok := s.narrow[packNarrow(ids)]
-		return ok
-	}
-	s.buf = appendIDs(s.buf[:0], ids)
-	_, ok := s.wide[string(s.buf)]
-	return ok
 }
 
 // directSpan bounds the direct layout: a one-column key is indexed by
@@ -139,24 +256,20 @@ const directSpan = 4
 
 // rowIndex is a relation's join index on one column set, built in one
 // go by buildRowIndex; nothing inserts into it afterwards. bucket(key)
-// is the row numbers whose columns equal key, in row order, whichever
-// layout the build chose.
+// is the row numbers whose columns equal key, in row order.
 //
-// Direct (one column, dense ids): a counting sort. The rows with id
-// lo+k are slab[off[k]:off[k+1]], so a probe is two array loads and a
-// slice, with no hashing and no per-bucket allocation.
-//
-// Hash (zero or several columns, or a sparse span): buckets of row
-// numbers keyed by the packed column values.
+// Both layouts are one CSR over group numbers: the rows of group g are
+// slab[off[g]:off[g+1]]. They differ in how a key names its group.
+// Direct (one column, dense ids): g = id−lo, so a probe is a subtraction,
+// two array loads and a slice. Hashed (zero or several columns, or a
+// sparse span): keys numbers the distinct keys, held in keyData in
+// first-seen order, and g is the key's number there.
 type rowIndex struct {
-	lo   uint32
-	off  []int32 // direct layout when non-nil; len = span+1
-	slab []int32
-
-	width  int
-	narrow map[uint64][]int32
-	wide   map[string][]int32
-	buf    []byte
+	off     []int32
+	slab    []int32
+	lo      uint32
+	keys    *rowSet // nil for the direct layout
+	keyData []uint32
 }
 
 // buildRowIndex indexes r's rows on the given columns.
@@ -166,32 +279,22 @@ func buildRowIndex(r *Relation, cols []int) *rowIndex {
 			return ix
 		}
 	}
-	ix := &rowIndex{width: len(cols)}
-	if ix.width <= 2 {
-		ix.narrow = make(map[uint64][]int32)
-	} else {
-		ix.wide = make(map[string][]int32)
-	}
+	ix := &rowIndex{keys: newRowSet(len(cols))}
+	groups := make([]int32, r.n)
 	key := make([]uint32, len(cols))
 	for i := 0; i < r.n; i++ {
 		row := r.irow(i)
 		for k, c := range cols {
 			key[k] = row[c]
 		}
-		ix.insert(key, int32(i))
+		g, added := ix.keys.add(ix.keyData, key)
+		if added {
+			ix.keyData = append(ix.keyData, key...)
+		}
+		groups[i] = g
 	}
+	ix.layout(r.n, ix.keys.n, func(i int) int { return int(groups[i]) })
 	return ix
-}
-
-// insert files row number ri under the key values (hash layout).
-func (ix *rowIndex) insert(key []uint32, ri int32) {
-	if ix.width <= 2 {
-		k := packNarrow(key)
-		ix.narrow[k] = append(ix.narrow[k], ri)
-		return
-	}
-	ix.buf = appendIDs(ix.buf[:0], key)
-	ix.wide[string(ix.buf)] = append(ix.wide[string(ix.buf)], ri)
 }
 
 // buildDirect builds the direct layout on column c of a non-empty
@@ -204,39 +307,44 @@ func buildDirect(r *Relation, c int) *rowIndex {
 	if uint64(hi-lo) >= directSpan*uint64(r.n) {
 		return nil
 	}
-	// Count id lo+k at off[k+2]; the prefix sum then leaves bucket k's
-	// start at off[k+1], and filling rows in order advances it to bucket
-	// k's end, which is bucket k+1's start: off[k:k+2] brackets bucket k.
-	span := int(hi-lo) + 1
-	off := make([]int32, span+2)
-	for i := c; i < len(r.data); i += r.Arity {
-		off[r.data[i]-lo+2]++
+	ix := &rowIndex{lo: lo}
+	ix.layout(r.n, int(hi-lo)+1, func(i int) int { return int(r.data[i*r.Arity+c] - lo) })
+	return ix
+}
+
+// layout counting-sorts row numbers 0..n-1 by group into off and slab.
+// Counting group g at off[g+2] and prefix-summing leaves g's start at
+// off[g+1]; filling rows in order advances it to g's end, which is
+// g+1's start, so off[g:g+2] brackets group g.
+func (ix *rowIndex) layout(n, groups int, group func(int) int) {
+	off := make([]int32, groups+2)
+	for i := 0; i < n; i++ {
+		off[group(i)+2]++
 	}
-	for k := 2; k < len(off); k++ {
-		off[k] += off[k-1]
+	for g := 2; g < len(off); g++ {
+		off[g] += off[g-1]
 	}
-	slab := make([]int32, r.n)
-	for i := 0; i < r.n; i++ {
-		k := r.data[i*r.Arity+c] - lo + 1
-		slab[off[k]] = int32(i)
-		off[k]++
+	slab := make([]int32, n)
+	for i := 0; i < n; i++ {
+		g := group(i) + 1
+		slab[off[g]] = int32(i)
+		off[g]++
 	}
-	return &rowIndex{lo: lo, off: off[:span+1], slab: slab}
+	ix.off, ix.slab = off[:groups+1], slab
 }
 
 // bucket returns the row numbers matching the key values (probe side).
 func (ix *rowIndex) bucket(key []uint32) []int32 {
-	if ix.off != nil {
-		// An id below lo wraps to a huge k and fails the bound too.
-		k := key[0] - ix.lo
-		if uint(k) >= uint(len(ix.off)-1) {
-			return nil
-		}
-		return ix.slab[ix.off[k]:ix.off[k+1]]
+	// An id below lo wraps to a huge g, as does an absent key's -1, and
+	// either fails the bound.
+	var g uint32
+	if ix.keys == nil {
+		g = key[0] - ix.lo
+	} else {
+		g = uint32(ix.keys.find(ix.keyData, key))
 	}
-	if ix.width <= 2 {
-		return ix.narrow[packNarrow(key)]
+	if uint(g) >= uint(len(ix.off)-1) {
+		return nil
 	}
-	ix.buf = appendIDs(ix.buf[:0], key)
-	return ix.wide[string(ix.buf)]
+	return ix.slab[ix.off[g]:ix.off[g+1]]
 }

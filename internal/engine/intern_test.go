@@ -36,42 +36,57 @@ func TestInternerRoundTrip(t *testing.T) {
 	}
 }
 
+// addRow files row in s over the slab *data, appending it when new, as
+// every owner of a rowSet does.
+func addRow(s *rowSet, data *[]uint32, row []uint32) (int32, bool) {
+	k, added := s.add(*data, row)
+	if added {
+		*data = append(*data, row...)
+	}
+	return k, added
+}
+
 func TestRowSetWideAndNarrow(t *testing.T) {
 	for _, width := range []int{0, 1, 2, 3, 5} {
 		s := newRowSet(width)
+		var data []uint32
 		row := make([]uint32, width)
-		if !s.add(row) {
-			t.Fatalf("width %d: first add not new", width)
+		if k, added := addRow(s, &data, row); !added || k != 0 {
+			t.Fatalf("width %d: first add = %d, %v; want 0, new", width, k, added)
 		}
-		if s.add(row) {
-			t.Fatalf("width %d: duplicate add reported new", width)
+		if k, added := addRow(s, &data, row); added || k != 0 {
+			t.Fatalf("width %d: duplicate add = %d, %v; want 0, not new", width, k, added)
 		}
-		if !s.has(row) {
-			t.Fatalf("width %d: has misses inserted row", width)
+		if s.find(data, row) != 0 {
+			t.Fatalf("width %d: find misses inserted row", width)
 		}
 		if width > 0 {
 			row[width-1] = 7
-			if s.has(row) {
-				t.Fatalf("width %d: has matches absent row", width)
+			if s.find(data, row) >= 0 {
+				t.Fatalf("width %d: find matches absent row", width)
 			}
-			if !s.add(row) {
-				t.Fatalf("width %d: distinct row not new", width)
+			if k, added := addRow(s, &data, row); !added || k != 1 {
+				t.Fatalf("width %d: distinct row = %d, %v; want 1, new", width, k, added)
 			}
 		}
 	}
 }
 
-// packNarrow must be collision-free over two full columns: (a, b) and
-// (b, a) pack differently, as do (x, 0) and (0, x).
+// Two-column rows pack into one hashed word, which must not conflate
+// (a, b) with (b, a) or (x, 0) with (0, x): each is its own member.
 func TestPackNarrowCollisionFree(t *testing.T) {
 	pairs := [][2]uint32{{1, 2}, {2, 1}, {0, 3}, {3, 0}, {1 << 20, 0}, {0, 1 << 20}}
-	seen := make(map[uint64][2]uint32)
-	for _, p := range pairs {
-		k := packNarrow(p[:])
-		if prev, dup := seen[k]; dup {
-			t.Errorf("pack(%v) collides with pack(%v)", p, prev)
+	s := newRowSet(2)
+	var data []uint32
+	for i, p := range pairs {
+		if k, added := addRow(s, &data, p[:]); !added || k != int32(i) {
+			t.Errorf("add(%v) = %d, %v; want %d, new", p, k, added, i)
 		}
-		seen[k] = p
+	}
+	for i, p := range pairs {
+		if k := s.find(data, p[:]); k != int32(i) {
+			t.Errorf("find(%v) = %d, want %d", p, k, i)
+		}
 	}
 }
 
@@ -128,18 +143,19 @@ func scanBucket(r *Relation, cols []int, key []uint32) []int32 {
 	return out
 }
 
-// columnLists returns every list of distinct columns of an arity-3
-// relation, in every order: widths 0 through 3.
-func columnLists() [][]int {
+// columnLists returns every list of up to three distinct columns of a
+// width-w relation, in every order: for w = 3, widths 0 through 3.
+func columnLists(w int) [][]int {
 	lists := [][]int{nil}
-	for _, l := range [][]int{{0}, {1}, {2}} {
-		lists = append(lists, l)
-		for _, c := range []int{0, 1, 2} {
-			if c == l[0] {
-				continue
+	for start := 0; start < len(lists); start++ {
+		l := lists[start]
+		if len(l) == 3 {
+			continue
+		}
+		for c := 0; c < w; c++ {
+			if !slices.Contains(l, c) {
+				lists = append(lists, append(slices.Clone(l), c))
 			}
-			l2 := []int{l[0], c}
-			lists = append(lists, l2, []int{l2[0], l2[1], 3 - l2[0] - l2[1]})
 		}
 	}
 	return lists
@@ -182,14 +198,14 @@ func checkRowIndex(r *Relation, rnd *rand.Rand) (direct int, err error) {
 	for id := 0; id <= r.in.Len(); id++ {
 		ids = append(ids, uint32(id))
 	}
-	for _, cols := range columnLists() {
+	for _, cols := range columnLists(3) {
 		ix := r.indexFor(cols)
 		var keys [][]uint32
 		switch len(cols) {
 		case 0:
 			keys = [][]uint32{{}}
 		case 1:
-			if ix.off != nil {
+			if ix.keys == nil {
 				direct++
 			}
 			for _, id := range ids {
@@ -255,10 +271,10 @@ func TestRowIndexLayoutChoice(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Insert(Tuple{Value("k" + strconv.Itoa(i)), "x"})
 	}
-	if r.indexFor([]int{0}).off == nil {
+	if r.indexFor([]int{0}).keys != nil {
 		t.Error("dense column 0 hashed")
 	}
-	if r.indexFor([]int{0, 1}).off != nil {
+	if r.indexFor([]int{0, 1}).keys == nil {
 		t.Error("two-column key took the direct layout")
 	}
 	// After 40 fresh symbols "far" gets id 51: 52 ids over 11 rows.
@@ -266,7 +282,7 @@ func TestRowIndexLayoutChoice(t *testing.T) {
 		r.in.ID(Value("pad" + strconv.Itoa(i)))
 	}
 	r.Insert(Tuple{"far", "x"})
-	if r.indexFor([]int{0}).off != nil {
+	if r.indexFor([]int{0}).keys == nil {
 		t.Error("sparse column 0 took the direct layout")
 	}
 	// Ten more rows over the padding make the span dense again.
@@ -274,12 +290,12 @@ func TestRowIndexLayoutChoice(t *testing.T) {
 		r.Insert(Tuple{Value("pad" + strconv.Itoa(i)), "y"})
 	}
 	old := r.indexFor([]int{0})
-	if old.off == nil {
+	if old.keys != nil {
 		t.Fatal("column 0 hashed after it became dense")
 	}
 	r.Insert(Tuple{"next", "z"}) // beyond the old index's hi
 	ix := r.indexFor([]int{0})
-	if ix == old || ix.off == nil {
+	if ix == old || ix.keys != nil {
 		t.Fatal("insert beyond hi did not rebuild a direct index")
 	}
 	id, _ := r.in.Lookup("next")

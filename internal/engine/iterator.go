@@ -13,7 +13,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"viewplan/internal/cq"
@@ -340,10 +339,11 @@ type projectIterator struct {
 	out   Schema
 	cols  []int
 	frame *streamFrame
-	// seen is the dedup set over emitted rows; nil when every input
-	// column survives, since a permutation of distinct rows is distinct.
-	seen  *rowSet
-	nseen int64
+	// seen is the dedup set over the emitted rows, which it keeps in
+	// emitted; nil when every input column survives, since a permutation
+	// of distinct rows is distinct.
+	seen    *rowSet
+	emitted []uint32
 }
 
 // StreamProject returns a lazy duplicate-free projection of the input
@@ -351,7 +351,6 @@ type projectIterator struct {
 func StreamProject(in RowIterator, keep []cq.Var) (RowIterator, error) {
 	schema := in.Schema()
 	cols := make([]int, len(keep))
-	kept := make([]bool, len(schema))
 	for i, v := range keep {
 		c := schema.IndexOf(v)
 		if c < 0 {
@@ -359,7 +358,6 @@ func StreamProject(in RowIterator, keep []cq.Var) (RowIterator, error) {
 			return nil, fmt.Errorf("engine: projection variable %s not in schema %v", v, schema)
 		}
 		cols[i] = c
-		kept[c] = true
 	}
 	it := &projectIterator{
 		in:    in,
@@ -367,14 +365,19 @@ func StreamProject(in RowIterator, keep []cq.Var) (RowIterator, error) {
 		cols:  cols,
 		frame: newFrame(len(keep)),
 	}
-	if slices.Contains(kept, false) {
+	if !keepsAll(cols, len(schema)) {
 		it.seen = newRowSet(len(keep))
 	}
 	return it, nil
 }
 
-func (it *projectIterator) Schema() Schema      { return it.out }
-func (it *projectIterator) residentRows() int64 { return it.nseen + pipelineResident(it.in) }
+func (it *projectIterator) Schema() Schema { return it.out }
+func (it *projectIterator) residentRows() int64 {
+	if it.seen == nil {
+		return pipelineResident(it.in)
+	}
+	return int64(it.seen.n) + pipelineResident(it.in)
+}
 
 func (it *projectIterator) Next() ([]uint32, bool) {
 	for {
@@ -389,8 +392,8 @@ func (it *projectIterator) Next() ([]uint32, bool) {
 		if it.seen == nil {
 			return buf, true
 		}
-		if it.seen.add(buf) {
-			it.nseen++
+		if _, added := it.seen.add(it.emitted, buf); added {
+			it.emitted = append(it.emitted, buf...)
 			return buf, true
 		}
 	}

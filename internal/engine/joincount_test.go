@@ -88,8 +88,12 @@ func TestJoinCountMatchesJoinStepSize(t *testing.T) {
 		want := out.Size()
 		t.Logf("%s: %d rows", tc.name, want)
 
-		out.rebuildSet()
-		if distinct := len(out.set.narrow) + len(out.set.wide); distinct != want {
+		seen := newRowSet(len(out.Schema))
+		var distinctRows []uint32
+		for i := 0; i < out.n; i++ {
+			addRow(seen, &distinctRows, out.irow(i))
+		}
+		if distinct := seen.n; distinct != want {
 			t.Errorf("%s: JoinStep produced %d rows, %d distinct", tc.name, want, distinct)
 		}
 

@@ -7,8 +7,8 @@
 //
 // Internally every relation stores interned integer rows (see Interner):
 // values are mapped to dense uint32 ids once at insert, and all joins,
-// dedup sets, and indexes operate on packed integer keys. The string
-// Tuple API remains the public surface; string rows materialize lazily.
+// dedup sets, and indexes operate on those rows. The string Tuple API
+// remains the public surface; string rows materialize lazily.
 package engine
 
 import (
@@ -49,12 +49,12 @@ func (t Tuple) Clone() Tuple {
 
 // Relation is a named relation with set semantics: inserting a duplicate
 // row is a no-op. Rows are stored as interned ids in one flat slice
-// (Arity ids per row), so an insert costs one map probe and an append,
-// no per-row allocation. Join indexes (rowIndex: direct-address for a
-// dense one-column key, hashed otherwise) are cached per column set and
-// invalidated by inserts, so repeated planning over the same
-// materialized views (the optimizer probes each view relation many
-// times) pays the index build once.
+// (Arity ids per row), so an insert costs one probe of a table of row
+// numbers into that slice and an append, no per-row allocation. Join
+// indexes (rowIndex: direct-address for a dense one-column key, hashed
+// otherwise) are cached per column set and invalidated by inserts, so
+// repeated planning over the same materialized views (the optimizer
+// probes each view relation many times) pays the index build once.
 type Relation struct {
 	Name  string
 	Arity int
@@ -63,7 +63,7 @@ type Relation struct {
 	gen     *uint64 // database mutation counter to bump on insert; may be nil
 	data    []uint32
 	n       int
-	set     *rowSet
+	set     rowSet  // as VarRelation.set
 	rows    []Tuple // lazy string-row cache: first len(rows) of the n rows
 	scratch []uint32
 
@@ -84,7 +84,7 @@ func NewRelation(name string, arity int) *Relation {
 }
 
 func newRelationIn(name string, arity int, in *Interner, gen *uint64) *Relation {
-	return &Relation{Name: name, Arity: arity, in: in, gen: gen, set: newRowSet(arity)}
+	return &Relation{Name: name, Arity: arity, in: in, gen: gen, set: rowSet{width: arity}}
 }
 
 // irow returns row i as a view into the flat storage (do not modify).
@@ -110,16 +110,25 @@ func (r *Relation) Insert(t Tuple) bool {
 
 // insertIDs adds an interned row (ids are copied, not retained).
 func (r *Relation) insertIDs(ids []uint32) bool {
-	if !r.set.add(ids) {
+	if r.set.n < r.n {
+		r.set.extend(r.data, r.n)
+	}
+	if _, added := r.set.add(r.data, ids); !added {
 		return false
 	}
+	r.appendRow(ids)
+	return true
+}
+
+// appendRow adds a row the caller knows r does not hold, without
+// probing (ids are copied, not retained).
+func (r *Relation) appendRow(ids []uint32) {
 	r.data = append(r.data, ids...)
 	r.n++
 	r.indexes = nil // cached indexes are stale
 	if r.gen != nil {
 		*r.gen++
 	}
-	return true
 }
 
 // indexFor returns the join index on the given columns, building and
@@ -167,7 +176,8 @@ func (r *Relation) Contains(t Tuple) bool {
 		}
 		ids[i] = id
 	}
-	return r.set.has(ids)
+	r.set.extend(r.data, r.n)
+	return r.set.find(r.data, ids) >= 0
 }
 
 // SortedRows returns the rows in lexicographic order (for deterministic
@@ -214,10 +224,17 @@ func (s Schema) IndexOf(v cq.Var) int {
 type VarRelation struct {
 	Schema Schema
 
-	in      *Interner
-	data    []uint32
-	n       int
-	set     *rowSet // nil on frozen cache copies; rebuilt lazily on Insert
+	in   *Interner
+	data []uint32
+	n    int
+	// set is the dedup table over the first set.n rows; it may lag
+	// behind n. An operator whose output is a set by construction
+	// appends its rows without probing it: JoinStep, FilterComparisons,
+	// a Project or head that keeps every column of its set input, and
+	// the IR cache's remapped copies, so such a relation never builds a
+	// table. An Insert (or Relation.Contains) first extends the table
+	// over the rows appended since. Relation.set follows the same rule.
+	set     rowSet
 	rows    []Tuple // lazy string-row cache
 	scratch []uint32
 }
@@ -230,7 +247,7 @@ func NewVarRelation(schema Schema) *VarRelation {
 }
 
 func newVarRelationIn(schema Schema, in *Interner) *VarRelation {
-	return &VarRelation{Schema: schema, in: in, set: newRowSet(len(schema))}
+	return &VarRelation{Schema: schema, in: in, set: rowSet{width: len(schema)}}
 }
 
 // UnitVarRelation returns the join identity: an empty schema with one
@@ -264,24 +281,21 @@ func (vr *VarRelation) Insert(t Tuple) bool {
 
 // insertIDs adds an interned row (ids are copied, not retained).
 func (vr *VarRelation) insertIDs(ids []uint32) bool {
-	if vr.set == nil {
-		vr.rebuildSet()
+	if vr.set.n < vr.n {
+		vr.set.extend(vr.data, vr.n)
 	}
-	if !vr.set.add(ids) {
+	if _, added := vr.set.add(vr.data, ids); !added {
 		return false
 	}
-	vr.data = append(vr.data, ids...)
-	vr.n++
+	vr.appendRow(ids)
 	return true
 }
 
-// rebuildSet reconstructs the dedup set of a frozen (cache-shared) copy
-// that is being mutated again.
-func (vr *VarRelation) rebuildSet() {
-	vr.set = newRowSet(len(vr.Schema))
-	for i := 0; i < vr.n; i++ {
-		vr.set.add(vr.irow(i))
-	}
+// appendRow adds a row the caller knows vr does not hold, without
+// probing (ids are copied, not retained).
+func (vr *VarRelation) appendRow(ids []uint32) {
+	vr.data = append(vr.data, ids...)
+	vr.n++
 }
 
 // Size returns the number of rows.
@@ -309,21 +323,38 @@ func (vr *VarRelation) Project(keep []cq.Var) (*VarRelation, error) {
 		cols[i] = c
 	}
 	out := newVarRelationIn(append(Schema(nil), keep...), vr.in)
+	distinct := keepsAll(cols, len(vr.Schema))
 	buf := make([]uint32, len(cols))
 	for i := 0; i < vr.n; i++ {
 		row := vr.irow(i)
 		for j, c := range cols {
 			buf[j] = row[c]
 		}
-		out.insertIDs(buf)
+		if distinct {
+			out.appendRow(buf)
+		} else {
+			out.insertIDs(buf)
+		}
 	}
 	return out, nil
 }
 
+// keepsAll reports whether cols names every one of width input columns
+// (a negative entry names none): a projection that keeps every column
+// of a set, in any order or repeated, is a set by construction.
+func keepsAll(cols []int, width int) bool {
+	for c := 0; c < width; c++ {
+		if !slices.Contains(cols, c) {
+			return false
+		}
+	}
+	return true
+}
+
 // remapped returns a copy of vr with columns permuted into the order of
 // want (which must be a permutation of vr's schema; reported false
-// otherwise). The copy shares vr's interner and is created frozen — its
-// dedup set is rebuilt only if someone inserts into it. The IR cache
+// otherwise). The copy shares vr's interner and, a permutation of a
+// set, builds no dedup table unless someone inserts into it. The IR cache
 // uses this to hand one memoized relation to callers that materialized
 // the same subgoal set through different join orders.
 func (vr *VarRelation) remapped(want Schema) (*VarRelation, bool) {
@@ -338,12 +369,9 @@ func (vr *VarRelation) remapped(want Schema) (*VarRelation, bool) {
 		}
 		cols[i] = c
 	}
-	out := &VarRelation{
-		Schema: append(Schema(nil), want...),
-		in:     vr.in,
-		n:      vr.n,
-		data:   make([]uint32, 0, len(vr.data)),
-	}
+	out := newVarRelationIn(append(Schema(nil), want...), vr.in)
+	out.n = vr.n
+	out.data = make([]uint32, 0, len(vr.data))
 	for i := 0; i < vr.n; i++ {
 		row := vr.irow(i)
 		for _, c := range cols {

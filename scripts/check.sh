@@ -15,8 +15,10 @@
 # benchmark module's own tests (bench/ is a separate module that
 # compiles against a frozen import surface of this one — see
 # bench/README.md; the root surface_test.go pins that surface for
-# tier-1, this step runs the benchmark's own digests), and finish with a
-# short fuzz smoke of the cq parser. The allocation gates (*_allocs_test.go) and the paper's figure
+# tier-1, this step runs the benchmark's own digests), and finish with
+# short fuzz smokes of the cq parser and of the engine's hand-rolled
+# hash tables (dedup sets, hashed join keys, interner against map and
+# linear-scan oracles). The allocation gates (*_allocs_test.go) and the paper's figure
 # shapes (figures_test.go) are plain tests that run in `go test ./...`,
 # so they need no step here; bench/'s tests are the one benchmark step.
 #
@@ -49,5 +51,8 @@ echo "== benchmark module: (cd bench && go test ./...)"
 echo "== fuzz smoke: cq parser round-trips (10s each)"
 go test -run='^$' -fuzz=FuzzParseQuery -fuzztime=10s ./internal/cq
 go test -run='^$' -fuzz=FuzzParseProgram -fuzztime=10s ./internal/cq
+
+echo "== fuzz smoke: engine row tables against map oracles (5s)"
+go test -run='^$' -fuzz=FuzzRowTables -fuzztime=5s ./internal/engine
 
 echo "check: OK"
