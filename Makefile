@@ -1,11 +1,12 @@
 # viewplan build targets. `make check` is the fast pre-commit gate
 # (vet + viewplanlint + race-enabled obs/corecover/views/service/engine/
 # cost tests + the benchmark module's tests + fuzz smokes of the cq
-# parser and the engine's row tables); `make lint` runs just the repo's
-# analyzer suite; `make test` is the full suite (allocation gates and
-# the paper's figure shapes included); `make benchall` runs every
-# benchmark; `make trace` exports a Perfetto trace of one CoreCover run
-# and validates the trace-event JSON with tracecheck.
+# parser, the engine's row tables and its query evaluator); `make lint`
+# runs just the repo's analyzer suite; `make test` is the full suite
+# (allocation gates and the paper's figure shapes included); `make
+# benchall` runs every benchmark; `make trace` exports a Perfetto trace
+# of one CoreCover run and validates the trace-event JSON with
+# tracecheck.
 
 GO ?= go
 

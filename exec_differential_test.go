@@ -1,10 +1,12 @@
 package viewplan
 
 import (
+	"fmt"
 	"testing"
 
 	"viewplan/internal/corecover"
 	"viewplan/internal/cost"
+	"viewplan/internal/cq"
 	"viewplan/internal/engine"
 	"viewplan/internal/obs"
 	"viewplan/internal/workload"
@@ -53,7 +55,8 @@ func tuplesIdentical(t *testing.T, label string, a, b *Relation) {
 // replayMaterialized is the corpus harness's reference executor: the
 // plan's JoinStep chain exactly as the cost simulation ran it (same
 // order, same M3 per-step projections), then the comparison filter and
-// the head. internal/cost keeps the same replay, with residency
+// the head over decoded rows, apart from the executor's interned
+// operators. internal/cost keeps the same replay, with residency
 // accounting, as the oracle of its own tests; a test of this package
 // cannot reach it.
 func replayMaterialized(db *Database, p *Plan) (*Relation, error) {
@@ -70,14 +73,37 @@ func replayMaterialized(db *Database, p *Plan) (*Relation, error) {
 		}
 		cur = next
 	}
-	if q.HasComparisons() {
-		filtered, err := engine.FilterComparisons(cur, q.Comparisons)
-		if err != nil {
-			return nil, err
+	// Insert keeps each head tuple's first occurrence: the materialized
+	// insertion order.
+	out := engine.NewRelation(q.Name(), q.Head.Arity())
+	for _, row := range cur.Rows() {
+		s := make(Subst, len(row))
+		for i, v := range cur.Schema {
+			s[v] = row[i]
 		}
-		cur = filtered
+		pass := true
+		for _, c := range s.Comparisons(q.Comparisons) {
+			ok, err := cq.EvalComparison(c)
+			if err != nil {
+				return nil, err
+			}
+			pass = pass && ok
+		}
+		if !pass {
+			continue
+		}
+		head := s.Atom(q.Head)
+		t := make(Tuple, len(head.Args))
+		for i, a := range head.Args {
+			c, ok := a.(Const)
+			if !ok {
+				return nil, fmt.Errorf("head term %v not bound by schema %v", a, cur.Schema)
+			}
+			t[i] = c
+		}
+		out.Insert(t)
 	}
-	return db.ProjectHead(cur, q.Head, false)
+	return out, nil
 }
 
 // probeRowsOf runs f under a private tracer and returns the

@@ -24,9 +24,9 @@ func rewritingsFor(t *testing.T, q *cq.Query, vs *views.Set) []*cq.Query {
 	return res.Rewritings
 }
 
-// rowsIdentical pins insertion order, not just the row set: both
-// relations decode through the same interner, so equal value sequences
-// imply equal interned storage.
+// rowsIdentical pins insertion order, not just the row set: the decoded
+// rows must agree position by position. The oracle's answer lives on a
+// private interner, so its ids are not comparable; its values are.
 func rowsIdentical(a, b *engine.Relation) bool {
 	if a.Name != b.Name || a.Arity != b.Arity || a.Size() != b.Size() {
 		return false

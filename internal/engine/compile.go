@@ -21,7 +21,7 @@ type repCheck struct {
 
 // atomSpec is the compiled form of one subgoal joined against a current
 // intermediate schema. JoinStep, JoinCount and the streaming join
-// (StreamJoin, iterator.go) compile the same spec, so every path
+// (streamJoin, iterator.go) compile the same spec, so every path
 // classifies positions, checks constants, and orders new columns
 // identically — the foundation of the byte-identity argument in
 // DESIGN §16.

@@ -41,12 +41,12 @@ func (db *Database) SetTracer(tr *obs.Tracer) { db.tracer = tr }
 // Tracer returns the attached tracer (nil when tracing is off).
 func (db *Database) Tracer() *obs.Tracer { return db.tracer }
 
-// SetStrictPredicates controls how JoinStep treats subgoals over
+// SetStrictPredicates controls how the engine treats subgoals over
 // predicates the database has no relation for. By default they join as
 // empty relations (with an unknown_predicates counter tick and trace
-// event); in strict mode JoinStep returns an *UnknownPredicateError
-// instead, so a misnamed view fails loudly rather than yielding zero
-// rows.
+// event); in strict mode JoinStep, Evaluate and StreamQuery return an
+// *UnknownPredicateError instead, so a misnamed view fails loudly
+// rather than yielding zero rows.
 func (db *Database) SetStrictPredicates(strict bool) { db.strict = strict }
 
 // UnknownPredicateError reports a join over a predicate with no relation
@@ -152,107 +152,16 @@ func (db *Database) MaterializeViews(vs *views.Set) error {
 }
 
 // Evaluate computes the answer relation of a conjunctive query over the
-// database (set semantics). Missing body relations evaluate as empty.
+// database (set semantics): the executor (StreamQuery) in the greedy
+// order, so no intermediate relation is materialized. Missing body
+// relations evaluate as empty (or error in strict mode); the answer's
+// rows advance the database generation.
 func (db *Database) Evaluate(q *cq.Query) (*Relation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	vr, err := db.JoinAll(q.Body)
-	if err != nil {
-		return nil, err
-	}
-	if q.HasComparisons() {
-		vr, err = FilterComparisons(vr, q.Comparisons)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return db.ProjectHead(vr, q.Head, true)
-}
-
-// ProjectHead materializes the head projection of a final intermediate
-// relation: head variables copy through from the schema, head constants
-// are interned once. This is the tail of Evaluate, shared with the plan
-// executors in internal/cost so both paths assemble answer relations
-// identically. A head that keeps every column of vr (an identity view,
-// say) yields distinct rows from distinct rows, so they are appended
-// without a dedup table. bumpGen is as in DrainStream: query evaluation
-// advances the database generation, plan execution does not.
-func (db *Database) ProjectHead(vr *VarRelation, head cq.Atom, bumpGen bool) (*Relation, error) {
-	var gen *uint64
-	if bumpGen {
-		gen = &db.gen
-	}
-	out := newRelationIn(head.Pred, head.Arity(), db.in, gen)
-	cols := make([]int, len(head.Args))
-	consts := make([]Value, len(head.Args))
-	for i, arg := range head.Args {
-		switch a := arg.(type) {
-		case cq.Var:
-			c := vr.Schema.IndexOf(a)
-			if c < 0 {
-				return nil, fmt.Errorf("engine: head variable %s missing from join schema", a)
-			}
-			cols[i] = c
-		case cq.Const:
-			cols[i] = -1
-			consts[i] = a
-		}
-	}
-	if vr.in == db.in {
-		// Fast path: copy ids straight through, no string round-trip.
-		buf := make([]uint32, len(cols))
-		constIDs := make([]uint32, len(cols))
-		for i, c := range cols {
-			if c < 0 {
-				constIDs[i] = db.in.ID(consts[i])
-			}
-		}
-		distinct := keepsAll(cols, len(vr.Schema))
-		for ri := 0; ri < vr.n; ri++ {
-			row := vr.irow(ri)
-			for i, c := range cols {
-				if c < 0 {
-					buf[i] = constIDs[i]
-				} else {
-					buf[i] = row[c]
-				}
-			}
-			if distinct {
-				out.appendRow(buf)
-			} else {
-				out.insertIDs(buf)
-			}
-		}
-		return out, nil
-	}
-	for _, row := range vr.Rows() {
-		t := make(Tuple, len(cols))
-		for i, c := range cols {
-			if c < 0 {
-				t[i] = consts[i]
-			} else {
-				t[i] = row[c]
-			}
-		}
-		out.Insert(t)
-	}
-	return out, nil
-}
-
-// JoinAll joins the atoms in a greedy selective-first order, returning the
-// final intermediate relation over all body variables.
-func (db *Database) JoinAll(body []cq.Atom) (*VarRelation, error) {
-	order := db.greedyOrder(body)
-	cur := UnitVarRelation()
-	for _, idx := range order {
-		next, err := db.JoinStep(cur, body[idx], nil)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return cur, nil
+	rel, _, err := db.StreamQuery(q, db.greedyOrder(q.Body), nil, true)
+	return rel, err
 }
 
 // greedyOrder picks a join order preferring small relations and atoms

@@ -1,6 +1,7 @@
-// Plan execution: lazy iterator composition over interned rows. This is
-// the one way a query or an optimizer-chosen plan is run; the
-// materialized JoinStep kernel remains as the cost simulation's
+// Execution: lazy iterator composition over interned rows. This is the
+// one way a query is evaluated (Database.Evaluate, hence view
+// materialization) and an optimizer-chosen plan is run (StreamQuery);
+// the materialized JoinStep kernel remains only as the cost simulation's
 // substrate and as the tests' byte-identity oracle. The operators here
 // are compiled from the same atomSpec machinery as JoinStep, so both
 // classify subgoal positions, check constants and repeated variables,
@@ -103,10 +104,10 @@ type scanIterator struct {
 	frame *streamFrame
 }
 
-// StreamScan returns a lazy scan of the subgoal's relation. Unknown
+// streamScan returns a lazy scan of the subgoal's relation. Unknown
 // predicates behave exactly as in JoinStep: an empty stream (with the
 // counter tick), or an error in strict mode.
-func (db *Database) StreamScan(atom cq.Atom) (RowIterator, error) {
+func (db *Database) streamScan(atom cq.Atom) (RowIterator, error) {
 	spec, err := db.compileAtom(nil, atom)
 	if err != nil {
 		return nil, err
@@ -166,11 +167,11 @@ type probeJoinIterator struct {
 	closed  bool
 }
 
-// StreamJoin returns a lazy join of the input stream with one subgoal's
+// streamJoin returns a lazy join of the input stream with one subgoal's
 // relation, compiled exactly like a JoinStep. On error the input is
 // closed. The input must share the database's interner (pipelines built
 // by this package always do).
-func (db *Database) StreamJoin(in RowIterator, atom cq.Atom) (RowIterator, error) {
+func (db *Database) streamJoin(in RowIterator, atom cq.Atom) (RowIterator, error) {
 	spec, err := db.compileAtom(in.Schema(), atom)
 	if err != nil {
 		in.Close()
@@ -246,8 +247,9 @@ func (it *probeJoinIterator) Close() {
 
 func (it *probeJoinIterator) residentRows() int64 { return pipelineResident(it.in) }
 
-// filterIterator applies built-in comparisons to a stream, compiled
-// against the input schema exactly like FilterComparisons.
+// filterIterator applies built-in comparisons to a stream (Section 8
+// extension: queries and views with built-in predicates evaluate by
+// filtering the relational join). A subset of a set is a set.
 type filterIterator struct {
 	in     RowIterator
 	intern *Interner
@@ -260,9 +262,9 @@ type streamCheck struct {
 	lval, rval Value
 }
 
-// StreamFilter returns a lazy comparison filter over the input stream.
+// streamFilter returns a lazy comparison filter over the input stream.
 // On error the input is closed.
-func (db *Database) StreamFilter(in RowIterator, comps []cq.Comparison) (RowIterator, error) {
+func (db *Database) streamFilter(in RowIterator, comps []cq.Comparison) (RowIterator, error) {
 	if len(comps) == 0 {
 		return in, nil
 	}
@@ -346,9 +348,9 @@ type projectIterator struct {
 	emitted []uint32
 }
 
-// StreamProject returns a lazy duplicate-free projection of the input
+// streamProject returns a lazy duplicate-free projection of the input
 // stream onto the given variables. On error the input is closed.
-func StreamProject(in RowIterator, keep []cq.Var) (RowIterator, error) {
+func streamProject(in RowIterator, keep []cq.Var) (RowIterator, error) {
 	schema := in.Schema()
 	cols := make([]int, len(keep))
 	for i, v := range keep {
@@ -409,18 +411,20 @@ func (it *projectIterator) Close() {
 }
 
 // headIterator assembles answer rows from a variable stream: head
-// variables copy through, head constants are interned once — the same
-// fast path as Evaluate's interned projection.
+// variables copy through, head constants are interned once.
 type headIterator struct {
 	in       RowIterator
 	cols     []int // input column, or -1 for a constant position
 	constIDs []uint32
 	frame    *streamFrame
+	// distinct is set when the head keeps every input column: distinct
+	// input rows then give distinct answer rows (drainStream).
+	distinct bool
 }
 
-// StreamHead returns the head projection of a variable stream. On error
+// streamHead returns the head projection of a variable stream. On error
 // the input is closed.
-func (db *Database) StreamHead(in RowIterator, head cq.Atom) (RowIterator, error) {
+func (db *Database) streamHead(in RowIterator, head cq.Atom) (RowIterator, error) {
 	schema := in.Schema()
 	it := &headIterator{
 		in:       in,
@@ -442,6 +446,7 @@ func (db *Database) StreamHead(in RowIterator, head cq.Atom) (RowIterator, error
 		}
 	}
 	it.frame = newFrame(len(head.Args))
+	it.distinct = keepsAll(it.cols, len(schema))
 	return it, nil
 }
 
@@ -485,19 +490,25 @@ type StreamStats struct {
 	PeakResidentRows int64
 }
 
-// DrainStream materializes a stream into a named relation with set
-// semantics, inserting rows as they arrive. bumpGen controls whether
-// inserts advance the database generation (the IR cache's staleness
-// clock): query evaluation bumps it like Evaluate does, while plan
-// execution drains with bumpGen=false so executing one candidate
-// rewriting does not invalidate intermediates cached for the next. The
-// pipeline is closed before returning.
-func (db *Database) DrainStream(name string, arity int, it RowIterator, bumpGen bool) (*Relation, StreamStats) {
+// drainStream materializes a stream into a named relation with set
+// semantics, inserting rows as they arrive. The stream below a head is
+// a set — scans and joins emit distinct rows, projections dedup, a
+// filter keeps a subset — so when the head keeps every column of it
+// the rows are appended without a dedup table (VarRelation.set);
+// otherwise each row is probed. bumpGen controls whether inserts
+// advance the database generation (the IR cache's staleness clock):
+// query evaluation bumps it, while plan execution drains with
+// bumpGen=false so executing one candidate rewriting does not
+// invalidate intermediates cached for the next. The pipeline is closed
+// before returning.
+func (db *Database) drainStream(name string, arity int, it RowIterator, bumpGen bool) (*Relation, StreamStats) {
 	var gen *uint64
 	if bumpGen {
 		gen = &db.gen
 	}
 	out := newRelationIn(name, arity, db.in, gen)
+	h, isHead := it.(*headIterator)
+	distinct := isHead && h.distinct
 	var stats StreamStats
 	for {
 		row, ok := it.Next()
@@ -505,7 +516,11 @@ func (db *Database) DrainStream(name string, arity int, it RowIterator, bumpGen 
 			break
 		}
 		stats.RawRows++
-		out.insertIDs(row)
+		if distinct {
+			out.appendRow(row)
+		} else {
+			out.insertIDs(row)
+		}
 	}
 	stats.Rows = out.Size()
 	stats.PeakResidentRows = pipelineResident(it) + int64(out.Size())
@@ -514,42 +529,31 @@ func (db *Database) DrainStream(name string, arity int, it RowIterator, bumpGen 
 	return out, stats
 }
 
-// EvaluateStream computes the same answer relation as Evaluate through
-// the iterator path: no intermediate relation is materialized, and the
-// result is byte-identical to Evaluate's (same name, same interner,
-// same insertion order).
-func (db *Database) EvaluateStream(q *cq.Query) (*Relation, StreamStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, StreamStats{}, err
-	}
-	return db.StreamQuery(q, db.greedyOrder(q.Body), nil, true)
-}
-
 // StreamQuery is the executor: it joins q's body in the given order
-// (see BuildJoinPipeline for retains), applies q's comparisons and head,
+// (see buildJoinPipeline for retains), applies q's comparisons and head,
 // and drains the pipeline into the relation named after q (see
-// DrainStream for bumpGen). cost.ExecutePlan drives it with plan orders
-// and the M3 per-step retains.
+// drainStream for bumpGen). Evaluate drives it with the greedy order,
+// cost.ExecutePlan with plan orders and the M3 per-step retains.
 func (db *Database) StreamQuery(q *cq.Query, order []int, retains [][]cq.Var, bumpGen bool) (*Relation, StreamStats, error) {
-	it, err := db.BuildJoinPipeline(q.Body, order, retains)
+	it, err := db.buildJoinPipeline(q.Body, order, retains)
 	if err != nil {
 		return nil, StreamStats{}, err
 	}
-	if it, err = db.StreamFilter(it, q.Comparisons); err != nil {
+	if it, err = db.streamFilter(it, q.Comparisons); err != nil {
 		return nil, StreamStats{}, err
 	}
-	if it, err = db.StreamHead(it, q.Head); err != nil {
+	if it, err = db.streamHead(it, q.Head); err != nil {
 		return nil, StreamStats{}, err
 	}
-	rel, stats := db.DrainStream(q.Name(), q.Head.Arity(), it, bumpGen)
+	rel, stats := db.drainStream(q.Name(), q.Head.Arity(), it, bumpGen)
 	return rel, stats, nil
 }
 
-// BuildJoinPipeline composes a scan and probe joins for the body atoms
+// buildJoinPipeline composes a scan and probe joins for the body atoms
 // in the given order. retains[k], when non-nil, projects after step k
 // (the M3 supplementary-relation drops). When construction fails midway
 // the operators already built are closed.
-func (db *Database) BuildJoinPipeline(body []cq.Atom, order []int, retains [][]cq.Var) (RowIterator, error) {
+func (db *Database) buildJoinPipeline(body []cq.Atom, order []int, retains [][]cq.Var) (RowIterator, error) {
 	if len(order) == 0 {
 		return &unitIterator{}, nil
 	}
@@ -557,15 +561,15 @@ func (db *Database) BuildJoinPipeline(body []cq.Atom, order []int, retains [][]c
 	var err error
 	for k, idx := range order {
 		if k == 0 {
-			it, err = db.StreamScan(body[idx])
+			it, err = db.streamScan(body[idx])
 		} else {
-			it, err = db.StreamJoin(it, body[idx])
+			it, err = db.streamJoin(it, body[idx])
 		}
 		if err != nil {
 			return nil, err
 		}
 		if retains != nil && retains[k] != nil {
-			it, err = StreamProject(it, retains[k])
+			it, err = streamProject(it, retains[k])
 			if err != nil {
 				return nil, err
 			}

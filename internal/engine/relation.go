@@ -229,11 +229,12 @@ type VarRelation struct {
 	n    int
 	// set is the dedup table over the first set.n rows; it may lag
 	// behind n. An operator whose output is a set by construction
-	// appends its rows without probing it: JoinStep, FilterComparisons,
-	// a Project or head that keeps every column of its set input, and
-	// the IR cache's remapped copies, so such a relation never builds a
-	// table. An Insert (or Relation.Contains) first extends the table
-	// over the rows appended since. Relation.set follows the same rule.
+	// appends its rows without probing it: JoinStep, a Project that
+	// keeps every column of its set input, the executor's drain under a
+	// head that does (drainStream), and the IR cache's remapped copies,
+	// so such a relation never builds a table. An Insert (or
+	// Relation.Contains) first extends the table over the rows appended
+	// since. Relation.set follows the same rule.
 	set     rowSet
 	rows    []Tuple // lazy string-row cache
 	scratch []uint32

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -23,32 +25,46 @@ func relIdentical(a, b *Relation) bool {
 	return true
 }
 
+// evalBothWays holds Evaluate to the materialized reference on q and
+// checks what a traced Evaluate reports: one join step per body atom
+// after the first (the scan is not a join), and no more probed index
+// rows than the reference's JoinStep chain.
 func evalBothWays(t *testing.T, db *Database, q *cq.Query) {
 	t.Helper()
-	want, err := db.Evaluate(q)
+	trWant, trGot := obs.New(), obs.New()
+	db.SetTracer(trWant)
+	want, err := evaluateMaterialized(db, q)
+	if err != nil {
+		t.Fatalf("evaluateMaterialized(%s): %v", q, err)
+	}
+	db.SetTracer(trGot)
+	got, err := db.Evaluate(q)
+	db.SetTracer(nil)
 	if err != nil {
 		t.Fatalf("Evaluate(%s): %v", q, err)
 	}
-	got, _, err := db.EvaluateStream(q)
-	if err != nil {
-		t.Fatalf("EvaluateStream(%s): %v", q, err)
-	}
 	if !relIdentical(want, got) {
-		t.Fatalf("streaming result differs for %s:\nmaterialized %v\nstreaming    %v", q, want.SortedRows(), got.SortedRows())
+		t.Fatalf("Evaluate differs from the materialized reference for %s:\nmaterialized %v\nstreaming    %v", q, want.SortedRows(), got.SortedRows())
+	}
+	if steps, k := trGot.Counter(obs.CtrJoinSteps), int64(len(q.Body)); steps != k-1 {
+		t.Errorf("%s: traced Evaluate ticked %d join steps, want %d", q, steps, k-1)
+	}
+	if g, w := trGot.Counter(obs.CtrJoinProbeRows), trWant.Counter(obs.CtrJoinProbeRows); g > w {
+		t.Errorf("%s: Evaluate probed %d index rows, the materialized chain %d", q, g, w)
 	}
 }
 
-// Streaming evaluation is byte-identical to the materialized path on
-// random databases and queries (duplicate atoms, repeated variables,
-// constants, partial heads).
+// Evaluate (the streaming executor) is byte-identical to the
+// materialized reference on random databases and queries (duplicate
+// atoms, repeated variables, constants, partial heads).
 func TestQuickEvaluateStreamMatchesEvaluate(t *testing.T) {
 	f := func(seed int64) bool {
 		db, q := randomDBAndQuery(absSeed(seed))
-		want, err := db.Evaluate(q)
+		want, err := evaluateMaterialized(db, q)
 		if err != nil {
 			return false
 		}
-		got, _, err := db.EvaluateStream(q)
+		got, err := db.Evaluate(q)
 		return err == nil && relIdentical(want, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -88,6 +104,120 @@ func TestEvaluateStreamDirected(t *testing.T) {
 	}
 }
 
+// fuzzBytes hands out the fuzz input one byte at a time, each reduced
+// modulo the caller's range, and zeros once it is used up.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return v
+}
+
+// FuzzEvaluate decodes a database and a query from the fuzz input,
+// structurally: up to 3 relations r0–r2 of arity 0–3 with up to 8 rows
+// each over a 4-value domain, then a body of 1–4 atoms over those
+// relations or the unknown predicate ghost, whose terms are variables
+// from a pool of 4 (so repeated variables and self-joins) or constants
+// (one never stored), a head that either lists every body variable or
+// draws variables and constants, up to 2 comparisons (< or >=), and
+// whether predicates are strict. It holds Evaluate byte-identical to
+// the materialized reference, both to an UnknownPredicateError for a
+// strict ghost, and a head that keeps every body variable to building
+// no dedup table.
+func FuzzEvaluate(f *testing.F) {
+	f.Add([]byte{2, 2, 4, 0, 1, 2, 3, 1, 3, 3, 2, 1, 0, 3, 0, 0, 1, 1, 0, 1, 2, 0, 0, 1})
+	f.Add([]byte{1, 2, 5, 0, 1, 1, 2, 2, 3, 0, 0, 3, 1, 2, 4, 1, 0, 2, 1, 3, 3, 0, 2, 2, 0, 0, 0, 1, 0, 1, 1, 2, 0, 0, 2, 4, 3, 1, 2, 0, 3, 4, 1, 0, 1, 1, 0, 0})
+	f.Add([]byte{0, 1, 3, 0, 1, 3, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{0, 3, 4, 0, 1, 1, 1, 1, 2, 2, 3, 3, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 2, 5, 2, 0, 1, 3, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		domain := []Value{"1", "2", "10", "b", "zz"} // zz is never stored
+		db := NewDatabase()
+		nrel := 1 + b.next(3)
+		for r := 0; r < nrel; r++ {
+			name := "r" + strconv.Itoa(r)
+			db.Create(name, b.next(4))
+			for n := b.next(9); n > 0; n-- {
+				row := make(Tuple, db.Relation(name).Arity)
+				for j := range row {
+					row[j] = domain[b.next(4)]
+				}
+				if err := db.Insert(name, row); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		pool := []cq.Var{"A", "B", "C", "D"}
+		q := &cq.Query{Head: cq.Atom{Pred: "q"}, Body: make([]cq.Atom, 1+b.next(4))}
+		ghost := false
+		for i := range q.Body {
+			name, arity := "ghost", 1+b.next(3)
+			if p := b.next(nrel + 1); p < nrel {
+				name = "r" + strconv.Itoa(p)
+				arity = db.Relation(name).Arity
+			} else {
+				ghost = true
+			}
+			args := make([]cq.Term, arity)
+			for j := range args {
+				if k := b.next(6); k < len(pool) {
+					args[j] = pool[k]
+				} else {
+					args[j] = domain[b.next(len(domain))]
+				}
+			}
+			q.Body[i] = cq.Atom{Pred: name, Args: args}
+		}
+		vars := q.BodyVars().Sorted()
+		if b.next(2) == 0 {
+			for _, v := range vars {
+				q.Head.Args = append(q.Head.Args, v)
+			}
+		}
+		for n := b.next(4); n > 0; n-- {
+			if k := b.next(len(vars) + 1); k < len(vars) {
+				q.Head.Args = append(q.Head.Args, vars[k])
+			} else {
+				q.Head.Args = append(q.Head.Args, domain[b.next(len(domain))])
+			}
+		}
+		for n := b.next(3); n > 0 && len(vars) > 0; n-- {
+			c := cq.Comparison{Left: vars[b.next(len(vars))], Op: []cq.CompOp{cq.OpLT, cq.OpGE}[b.next(2)]}
+			if b.next(2) == 0 {
+				c.Right = vars[b.next(len(vars))]
+			} else {
+				c.Right = domain[b.next(len(domain))]
+			}
+			q.Comparisons = append(q.Comparisons, c)
+		}
+		strict := b.next(2) == 1
+		db.SetStrictPredicates(strict)
+
+		want, werr := evaluateMaterialized(db, q)
+		got, gerr := db.Evaluate(q)
+		if strict && ghost {
+			var ue *UnknownPredicateError
+			if !errors.As(werr, &ue) || !errors.As(gerr, &ue) {
+				t.Fatalf("%s over a strict ghost: reference error %v, Evaluate error %v", q, werr, gerr)
+			}
+			return
+		}
+		if werr != nil || gerr != nil {
+			t.Fatalf("%s: reference error %v, Evaluate error %v", q, werr, gerr)
+		}
+		if !relIdentical(want, got) {
+			t.Fatalf("%s: Evaluate %v, materialized reference %v", q, got.Rows(), want.Rows())
+		}
+		if len(q.HeadVars()) == len(vars) && (got.set.n != 0 || got.set.tab.slots != nil) {
+			t.Fatalf("%s keeps every body variable but built a dedup table of %d rows", q, got.set.n)
+		}
+	})
+}
+
 // A projected pipeline (the M3 supplementary-relation drops) drains to
 // the same relation as the materialized JoinStep chain with retains,
 // and — because the projection dedups — hands every join exactly the
@@ -119,11 +249,11 @@ func TestStreamPipelineRetainsMatchJoinSteps(t *testing.T) {
 		cur = next
 	}
 	probed := tr.Counter(obs.CtrJoinProbeRows)
-	it, err := db.BuildJoinPipeline(q.Body, order, retains)
+	it, err := db.buildJoinPipeline(q.Body, order, retains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats := db.DrainStream("ir", len(cur.Schema), it, false)
+	got, stats := db.drainStream("ir", len(cur.Schema), it, false)
 	if got.Size() != cur.Size() {
 		t.Fatalf("drained %d rows, materialized %d", got.Size(), cur.Size())
 	}
@@ -173,14 +303,14 @@ func TestPipelineConstructionFailureClosesOperators(t *testing.T) {
 	// Each constructor, failing over a counted leaf.
 	for name, build := range map[string]func(in RowIterator) (RowIterator, error){
 		"join": func(in RowIterator) (RowIterator, error) {
-			return db.StreamJoin(in, cq.MustParseQuery("q(X) :- ghost(X)").Body[0])
+			return db.streamJoin(in, cq.MustParseQuery("q(X) :- ghost(X)").Body[0])
 		},
-		"project": func(in RowIterator) (RowIterator, error) { return StreamProject(in, []cq.Var{"X", bad}) },
+		"project": func(in RowIterator) (RowIterator, error) { return streamProject(in, []cq.Var{"X", bad}) },
 		"filter": func(in RowIterator) (RowIterator, error) {
-			return db.StreamFilter(in, []cq.Comparison{{Left: bad, Op: cq.OpLT, Right: cq.Var("X")}})
+			return db.streamFilter(in, []cq.Comparison{{Left: bad, Op: cq.OpLT, Right: cq.Var("X")}})
 		},
 		"head": func(in RowIterator) (RowIterator, error) {
-			return db.StreamHead(in, cq.Atom{Pred: "q", Args: []cq.Term{bad}})
+			return db.streamHead(in, cq.Atom{Pred: "q", Args: []cq.Term{bad}})
 		},
 	} {
 		leaf := &closeCounter{schema: Schema{"X", "Y"}}
@@ -204,13 +334,13 @@ func TestPipelineConstructionFailureClosesOperators(t *testing.T) {
 		return tr.Counter(obs.CtrStreamJoins)
 	}
 	if n := joinsClosed(func() error {
-		_, err := db.BuildJoinPipeline(q.Body, []int{0, 1, 2}, [][]cq.Var{nil, nil, {"X", bad}})
+		_, err := db.buildJoinPipeline(q.Body, []int{0, 1, 2}, [][]cq.Var{nil, nil, {"X", bad}})
 		return err
 	}); n != 2 {
 		t.Errorf("bad retains at step 2: %d joins closed, want 2", n)
 	}
 	if n := joinsClosed(func() error {
-		_, err := db.BuildJoinPipeline(q.Body, []int{0, 1, 2}, [][]cq.Var{nil, {bad}, nil})
+		_, err := db.buildJoinPipeline(q.Body, []int{0, 1, 2}, [][]cq.Var{nil, {bad}, nil})
 		return err
 	}); n != 1 {
 		t.Errorf("bad retains at step 1: %d joins closed, want 1", n)

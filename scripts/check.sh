@@ -16,9 +16,10 @@
 # compiles against a frozen import surface of this one — see
 # bench/README.md; the root surface_test.go pins that surface for
 # tier-1, this step runs the benchmark's own digests), and finish with
-# short fuzz smokes of the cq parser and of the engine's hand-rolled
+# short fuzz smokes of the cq parser, of the engine's hand-rolled
 # hash tables (dedup sets, hashed join keys, interner against map and
-# linear-scan oracles). The allocation gates (*_allocs_test.go) and the paper's figure
+# linear-scan oracles) and of the engine's one query evaluator (Evaluate
+# against the materialized JoinStep reference). The allocation gates (*_allocs_test.go) and the paper's figure
 # shapes (figures_test.go) are plain tests that run in `go test ./...`,
 # so they need no step here; bench/'s tests are the one benchmark step.
 #
@@ -54,5 +55,8 @@ go test -run='^$' -fuzz=FuzzParseProgram -fuzztime=10s ./internal/cq
 
 echo "== fuzz smoke: engine row tables against map oracles (5s)"
 go test -run='^$' -fuzz=FuzzRowTables -fuzztime=5s ./internal/engine
+
+echo "== fuzz smoke: Evaluate against the materialized reference (5s)"
+go test -run='^$' -fuzz=FuzzEvaluate -fuzztime=5s ./internal/engine
 
 echo "check: OK"
