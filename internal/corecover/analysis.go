@@ -95,7 +95,7 @@ func IsContainmentMinimal(p *cq.Query, lmrs []*cq.Query) bool {
 // P5 (using v5) properly contains P2 (using v1) only because v5 and v1
 // are the same view up to naming.
 func NormalizeToRepresentatives(p *cq.Query, vs *views.Set) *cq.Query {
-	classes := vs.EquivalenceClasses()
+	classes, _ := vs.EquivalenceClasses()
 	rep := make(map[string]string)
 	for _, class := range classes {
 		for _, v := range class {

@@ -2,10 +2,12 @@
 // pipeline compiled once and shared across planning requests. The paper
 // assumes the view set is long-lived while queries arrive one at a time;
 // a Catalog is that assumption made executable — view validation, the
-// expensive per-view definition keys (Minimize + canonical labeling),
-// the Section 5.2 equivalence classes, and the representative subset are
+// Section 5.2 equivalence classes, and the representative subset are
 // computed once by CompileViews and reused by every run that attaches
-// the catalog through Options.Catalog.
+// the catalog through Options.Catalog. The expensive per-view definition
+// keys (Minimize + canonical labeling) are not the catalog's: each
+// views.View memoizes its own, so copy-on-write mutations, which share
+// View objects, regroup without re-keying unchanged views.
 //
 // The view tuples T(Q,V) and the compiled hom-search targets are NOT
 // precomputed here: both depend on the query's canonical database, so
@@ -13,9 +15,9 @@
 // already recycles the search frames across requests). What the catalog
 // owns is exactly the work that is query-independent, which keeps the
 // catalog-path Result byte-identical to a cold run: the same grouping
-// code (views.ClassesFromKeys) runs over the same keys, so class order,
-// representative choice, tuple enumeration order, and rewriting order
-// are untouched.
+// call (views.Set.EquivalenceClasses) runs over the same keys, so class
+// order, representative choice, tuple enumeration order, and rewriting
+// order are untouched.
 package corecover
 
 import (
@@ -41,12 +43,8 @@ var catalogGen atomic.Uint64
 // return a new Catalog; the old one remains valid and serves in-flight
 // requests, so a server swaps catalogs with one atomic pointer store.
 type Catalog struct {
-	gen uint64
-	vs  *views.Set
-	// keys[i] is views.DefinitionKey(vs.Views[i]): the minimized
-	// canonical form each view is grouped by. Kept so copy-on-write
-	// mutations regroup without re-minimizing unchanged views.
-	keys    []string
+	gen     uint64
+	vs      *views.Set
 	classes [][]*views.View
 	// work is the representative subset the tuple computation runs over
 	// (class representatives in class order), sharing vs's View objects.
@@ -86,32 +84,18 @@ func CompileViews(vs *views.Set, opts Options) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, own.Len())
-	for i, v := range own.Views {
-		keys[i] = views.DefinitionKey(v)
-	}
-	return newCatalog(own, keys)
+	return newCatalog(own), nil
 }
 
-// newCatalog assembles a Catalog from a set and its precomputed
-// definition keys, minting a fresh generation. Interning walks the views
-// in set order — head first, then body atoms as written — so vocabulary
-// ids, and everything keyed by them, are a function of the definitions
-// alone.
-func newCatalog(vs *views.Set, keys []string) (*Catalog, error) {
-	classes := vs.ClassesFromKeys(keys)
-	names := make([]string, len(classes))
-	for i, c := range classes {
-		names[i] = c[0].Name()
-	}
-	work, err := vs.Subset(names)
-	if err != nil {
-		return nil, err
-	}
+// newCatalog assembles a Catalog from a set, minting a fresh generation.
+// Interning walks the views in set order — head first, then body atoms
+// as written — so vocabulary ids, and everything keyed by them, are a
+// function of the definitions alone.
+func newCatalog(vs *views.Set) *Catalog {
+	classes, work := vs.EquivalenceClasses()
 	c := &Catalog{
 		gen:     catalogGen.Add(1),
 		vs:      vs,
-		keys:    keys,
 		classes: classes,
 		work:    work,
 		vocab:   cq.NewInterner(),
@@ -128,7 +112,7 @@ func newCatalog(vs *views.Set, keys []string) (*Catalog, error) {
 		}
 	}
 	c.workPreds = compileWorkPreds(work, c.vocab)
-	return c, nil
+	return c
 }
 
 // compileWorkPreds builds the per-representative distinct body-pred id
@@ -211,9 +195,10 @@ func (c *Catalog) BasePreds() []string {
 
 // AddViews returns a new Catalog extending this one with the given view
 // definitions (validated; duplicate names rejected). Copy-on-write: the
-// existing View objects and their definition keys are shared — only the
-// new views are minimized and keyed — and the result carries a fresh
-// generation. The receiver is unchanged and stays valid.
+// existing View objects are shared, and with them their memoized
+// definition keys — only the new views are minimized and keyed — and the
+// result carries a fresh generation. The receiver is unchanged and stays
+// valid.
 func (c *Catalog) AddViews(defs ...*cq.Query) (*Catalog, error) {
 	for _, d := range defs {
 		if d.HasComparisons() {
@@ -224,25 +209,20 @@ func (c *Catalog) AddViews(defs ...*cq.Query) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, vs.Len())
-	copy(keys, c.keys)
-	for i := c.vs.Len(); i < vs.Len(); i++ {
-		keys[i] = views.DefinitionKey(vs.Views[i])
-	}
-	return newCatalog(vs, keys)
+	return newCatalog(vs), nil
 }
 
 // RemoveView returns a new Catalog without the named view, sharing the
-// remaining View objects and their definition keys, under a fresh
-// generation. Removing an unknown name is an error.
+// remaining View objects (and so their memoized definition keys), under
+// a fresh generation. Removing an unknown name is an error.
 //
-// The repair is incremental: only the removed view's key is dropped and
-// only its equivalence class is touched — a non-representative member
-// is filtered out of its class slice (everything else, including the
-// work subset and the prefilter index, is shared outright), a sole
-// member drops its class, and a removed representative hands the class
-// to its next member, re-slotting the class at that member's
-// first-occurrence position so class order matches a fresh grouping.
+// The repair is incremental: only the removed view's equivalence class
+// is touched — a non-representative member is filtered out of its class
+// slice (everything else, including the work subset and the prefilter
+// index, is shared outright), a sole member drops its class, and a
+// removed representative hands the class to its next member,
+// re-slotting the class at that member's first-occurrence position so
+// class order matches a fresh grouping.
 // The vocabulary interner is shared with the parent (it is append-only,
 // so ids stay stable across the lineage and the mention lists repair by
 // key); a predicate mentioned only by removed views may therefore still
@@ -255,17 +235,7 @@ func (c *Catalog) RemoveView(name string) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := -1
-	var removed *views.View
-	for i, v := range c.vs.Views {
-		if v.Name() == name {
-			idx, removed = i, v
-			break
-		}
-	}
-	keys := make([]string, 0, vs.Len())
-	keys = append(keys, c.keys[:idx]...)
-	keys = append(keys, c.keys[idx+1:]...)
+	removed := c.vs.ByName(name)
 
 	ci, mi := -1, -1
 	for cj, cl := range c.classes {
@@ -283,7 +253,6 @@ func (c *Catalog) RemoveView(name string) (*Catalog, error) {
 	next := &Catalog{
 		gen:   catalogGen.Add(1),
 		vs:    vs,
-		keys:  keys,
 		vocab: c.vocab,
 	}
 	switch {

@@ -15,7 +15,8 @@ import (
 
 // requireCatalogEquiv asserts inc (an incremental RemoveView result) and
 // fresh (CompileViews over the same surviving set) agree on every
-// name-level observable: view order, definition keys, class structure,
+// name-level observable: view order, shared View objects and their
+// definition keys, class structure,
 // the representative work set, base predicates, and mention lists.
 func requireCatalogEquiv(t *testing.T, label string, inc, fresh *Catalog) {
 	t.Helper()
@@ -27,7 +28,14 @@ func requireCatalogEquiv(t *testing.T, label string, inc, fresh *Catalog) {
 		if incNames[i] != freshNames[i] {
 			t.Fatalf("%s: view %d is %s, fresh has %s", label, i, incNames[i], freshNames[i])
 		}
-		if inc.keys[i] != fresh.keys[i] {
+		// A surviving view is the parent set's View object, so it keeps
+		// the key memoized there; that key must be what keying the same
+		// definition afresh yields.
+		v := inc.vs.Views[i]
+		if v != fresh.vs.Views[i] {
+			t.Fatalf("%s: view %s is not shared with the parent set", label, incNames[i])
+		}
+		if views.DefinitionKey(v) != views.DefinitionKey(views.MustNewSet(v.Def).Views[0]) {
 			t.Fatalf("%s: key %d differs for %s", label, i, incNames[i])
 		}
 	}

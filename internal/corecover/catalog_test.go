@@ -5,6 +5,7 @@ package corecover
 
 import (
 	"testing"
+	"unsafe"
 
 	"viewplan/internal/cq"
 	"viewplan/internal/views"
@@ -16,7 +17,7 @@ func TestCompileViewsGroupingMatchesEquivalenceClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := inst.Views.EquivalenceClasses()
+	want, _ := inst.Views.EquivalenceClasses()
 	cat, err := CompileViews(inst.Views, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +60,10 @@ func TestCatalogCopyOnWriteSharesViewsAndKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keyData := make([]*byte, cat.Len())
+	for i, v := range cat.vs.Views {
+		keyData[i] = unsafe.StringData(views.DefinitionKey(v))
+	}
 	grown, err := cat.AddViews(cq.MustParseQuery("v3(X, Z) :- e0(X, Y), e1(Y, Z)"))
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +71,13 @@ func TestCatalogCopyOnWriteSharesViewsAndKeys(t *testing.T) {
 	if cat.Len() != 2 || grown.Len() != 3 {
 		t.Fatalf("Len: cat=%d grown=%d, want 2 and 3", cat.Len(), grown.Len())
 	}
-	// COW: the surviving View objects and their keys are shared.
-	for i := range cat.vs.Views {
-		if grown.vs.Views[i] != cat.vs.Views[i] {
+	// COW: the surviving View objects, and with them their memoized keys,
+	// are shared: the key is the very string CompileViews computed.
+	for i, v := range cat.vs.Views {
+		if grown.vs.Views[i] != v {
 			t.Fatalf("AddViews did not share View %d", i)
 		}
-		if grown.keys[i] != cat.keys[i] {
+		if unsafe.StringData(views.DefinitionKey(grown.vs.Views[i])) != keyData[i] {
 			t.Fatalf("AddViews recomputed key %d", i)
 		}
 	}

@@ -265,7 +265,7 @@ func prepare(q *cq.Query, vs *views.Set, opts Options) (*Result, *coverSearch, e
 		}
 	} else if cat := opts.Catalog; cat != nil {
 		// The resident catalog already grouped its views with the same
-		// ClassesFromKeys pipeline, so class order and representative
+		// EquivalenceClasses call, so class order and representative
 		// choice are byte-identical to the cold computation. The class
 		// table and the work subset are immutable and shared, not copied
 		// (see Result.ViewClasses).
@@ -274,18 +274,11 @@ func prepare(q *cq.Query, vs *views.Set, opts Options) (*Result, *coverSearch, e
 		work = cat.work
 		sp.End()
 	} else {
+		// Each view keys itself once (views.DefinitionKey), so an ad-hoc
+		// set whose views were grouped before only re-buckets them here.
 		sp = tr.Start(obs.PhaseViewGrouping)
-		classes = vs.EquivalenceClasses()
-		names := make([]string, len(classes))
-		for i, c := range classes {
-			names[i] = c[0].Name()
-		}
-		sub, err := vs.Subset(names)
+		classes, work = vs.EquivalenceClasses()
 		sp.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		work = sub
 	}
 
 	sp = tr.Start(obs.PhaseViewTuples)

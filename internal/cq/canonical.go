@@ -192,18 +192,3 @@ func approximateKey(q *Query) string {
 	b.WriteString(strings.Join(shapes, "|"))
 	return b.String()
 }
-
-// SortBodyCanonically returns a copy of q whose body atoms follow the order
-// chosen by CanonicalKey's winning labeling. It is used for stable printing
-// of generated rewritings. For large bodies it falls back to sorting by
-// (Pred, String).
-func SortBodyCanonically(q *Query) *Query {
-	out := q.Clone()
-	sort.SliceStable(out.Body, func(i, j int) bool {
-		if out.Body[i].Pred != out.Body[j].Pred {
-			return out.Body[i].Pred < out.Body[j].Pred
-		}
-		return out.Body[i].String() < out.Body[j].String()
-	})
-	return out
-}

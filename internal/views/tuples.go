@@ -45,8 +45,7 @@ func (t Tuple) Expansion(gen *cq.FreshGen) (body []cq.Atom, existentials []cq.Va
 				t.Atom, fv, t.View.Name())
 		}
 	}
-	exVars := t.View.Def.ExistentialVars().Sorted()
-	for _, ev := range exVars {
+	for _, ev := range t.View.existentials() {
 		fresh := gen.Fresh()
 		bind[ev] = fresh
 		existentials = append(existentials, fresh)

@@ -9,6 +9,7 @@ package views
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"viewplan/internal/containment"
 	"viewplan/internal/cq"
@@ -16,8 +17,22 @@ import (
 
 // View is a named conjunctive view over the base relations. Its definition
 // must be safe and its head predicate is the view's name.
+//
+// A View is immutable after NewSet or Append builds it. Every set, subset
+// and catalog that holds it shares the pointer, and the view memoizes
+// what is derived from its definition on first use: its DefinitionKey and
+// its sorted existential variables. Views are therefore always handled by
+// pointer, never copied.
 type View struct {
+	// Def is the view definition: a private clone made by NewSet or
+	// Append. Treat it as read-only. Mutating it afterwards leaves the
+	// memoized key and existential variables stale.
 	Def *cq.Query
+
+	keyOnce sync.Once
+	key     string
+	exOnce  sync.Once
+	exVars  []cq.Var
 }
 
 // Name returns the view's head predicate.
@@ -29,6 +44,15 @@ func (v *View) Arity() int { return v.Def.Head.Arity() }
 // String renders the view definition.
 func (v *View) String() string { return v.Def.String() }
 
+// existentials returns the definition's existential variables in sorted
+// order, computed once per view. Sorted order pins which existential gets
+// which fresh name in an expansion, keeping expansions byte-identical
+// across runs. Callers must not modify the slice.
+func (v *View) existentials() []cq.Var {
+	v.exOnce.Do(func() { v.exVars = v.Def.ExistentialVars().Sorted() })
+	return v.exVars
+}
+
 // Set is an ordered collection of views with unique names.
 type Set struct {
 	Views  []*View
@@ -36,7 +60,9 @@ type Set struct {
 }
 
 // NewSet builds a view set from definitions, validating each and rejecting
-// duplicate names.
+// duplicate names. Each View holds a private clone of its definition; its
+// key and existential variables are computed lazily, on first use, not
+// here.
 func NewSet(defs ...*cq.Query) (*Set, error) {
 	s := &Set{byName: make(map[string]*View, len(defs))}
 	for _, d := range defs {
@@ -90,11 +116,10 @@ func (s *Set) Names() []string {
 // Subset returns a new Set containing only the named views, in the given
 // order. The returned set shares the receiver's View objects: view
 // definitions are private clones made once by NewSet and treated as
-// immutable everywhere after, so re-validating and re-cloning them per
-// subset would be pure allocation churn on the planner's per-query path
-// (CoreCover subsets to the equivalence-class representatives on every
-// run). Tuple.View pointers consequently compare equal across a set and
-// its subsets.
+// immutable everywhere after, so a subset neither re-validates nor
+// re-clones them, and every memo a View carries (its DefinitionKey) is
+// shared too. Tuple.View pointers consequently compare equal across a
+// set and its subsets.
 func (s *Set) Subset(names []string) (*Set, error) {
 	sub := &Set{byName: make(map[string]*View, len(names))}
 	for _, n := range names {
@@ -200,9 +225,7 @@ func (s *Set) Expand(p *cq.Query) (*cq.Query, error) {
 					sub, fv, v.Name())
 			}
 		}
-		// Sorted order pins which existential variable gets which fresh
-		// name, keeping expansions byte-identical across runs.
-		for _, ev := range v.Def.ExistentialVars().Sorted() {
+		for _, ev := range v.existentials() {
 			bind[ev] = gen.Fresh()
 		}
 		body = append(body, bind.Atoms(v.Def.Body)...)
@@ -229,84 +252,95 @@ func (s *Set) IsEquivalentRewriting(p, q *cq.Query) bool {
 }
 
 // DefinitionKey returns the equivalence key of a view definition: the
-// canonical form of the minimized definition with the head predicate name
-// erased. Two views have equal keys exactly when their definitions are
-// equivalent as queries (cores are unique up to renaming), so the key is
-// what EquivalenceClasses groups by. It is the expensive per-view part of
-// grouping — Minimize plus a canonical labeling — which is why a resident
-// catalog computes it once per view and reuses it across queries and
-// copy-on-write set mutations.
+// exact canonical form of the minimized definition with the head
+// predicate name erased. It is computed once per View and memoized, so
+// grouping a set whose views were grouped before — in any set, subset or
+// catalog sharing them — minimizes and labels nothing again. It is safe
+// to call concurrently.
+//
+// Equal keys imply equivalent definitions. The converse holds when both
+// keys are exact: cores are unique up to renaming, so equivalent views
+// have isomorphic minimized definitions. When the minimized definition
+// has no exact canonical key (its body exceeds the labeling's size cap,
+// or it carries comparisons), the key is the view's name under a
+// reserved prefix. View names are unique within a set and within a
+// catalog, so such a view is grouped with no other view: it loses the
+// grouping, but is never merged with a view it is not equivalent to.
 func DefinitionKey(v *View) string {
-	// View names differ even when definitions coincide (v1 and v5 in
-	// the paper), so equivalence is judged on the definition with the
-	// head predicate name erased.
-	return cq.CanonicalKey(containment.Minimize(anonymizeHead(v.Def)))
+	v.keyOnce.Do(func() {
+		// View names differ even when definitions coincide (v1 and v5
+		// in the paper), so equivalence is judged on the definition
+		// with the head predicate name erased.
+		key, ok := cq.ExactCanonicalKey(containment.Minimize(anonymizeHead(v.Def)))
+		if !ok {
+			key = unkeyedPrefix + v.Name()
+		}
+		v.key = key
+	})
+	return v.key
 }
 
-// ClassesFromKeys groups the set's views by precomputed definition keys:
-// keys[i] must be DefinitionKey(s.Views[i]). Classes appear in order of
-// first member; the first member of each class is the representative.
-// Callers with a resident catalog use this to regroup after copy-on-write
-// mutations without recomputing unchanged keys.
-func (s *Set) ClassesFromKeys(keys []string) [][]*View {
-	byKey := make(map[string]int, len(keys))
-	var classes [][]*View
-	for i, v := range s.Views {
-		if ci, ok := byKey[keys[i]]; ok {
-			classes[ci] = append(classes[ci], v)
-			continue
-		}
-		byKey[keys[i]] = len(classes)
-		classes = append(classes, []*View{v})
-	}
-	return classes
-}
+// unkeyedPrefix marks a DefinitionKey that is not a canonical form. Exact
+// keys begin with the anonymized head predicate, so no exact key shares
+// this prefix.
+const unkeyedPrefix = "unkeyed:"
 
 // EquivalenceClasses groups the views into classes of queries equivalent
-// as view definitions (Section 5.2). Each class lists member views; the
-// first member is the representative.
+// as view definitions (Section 5.2) and returns the classes together with
+// the subset of their representatives. Each class lists its members in
+// set order and its first member is the representative; classes appear
+// in order of their representatives, which is also reps' order. Both
+// share the receiver's View objects.
 //
-// Grouping is linear in the number of views: each definition is
-// minimized (its core computed) and keyed by the canonical form of the
-// minimized body. Two minimal conjunctive queries are equivalent exactly
-// when they are isomorphic — cores are unique up to variable renaming —
-// so equal keys are a sound and complete equivalence test; no pairwise
-// containment checks are needed.
-func (s *Set) EquivalenceClasses() [][]*View {
-	keys := make([]string, len(s.Views))
+// Grouping is linear in the number of views: each view is bucketed by
+// its memoized DefinitionKey, so no pairwise containment checks are
+// needed and only views never keyed before are minimized.
+func (s *Set) EquivalenceClasses() (classes [][]*View, reps *Set) {
+	byKey := make(map[string]int, len(s.Views))
+	of := make([]int, len(s.Views))       // class of each view
+	sizes := make([]int, 0, len(s.Views)) // members per class
 	for i, v := range s.Views {
-		keys[i] = DefinitionKey(v)
+		k := DefinitionKey(v)
+		ci, ok := byKey[k]
+		if !ok {
+			ci = len(sizes)
+			byKey[k] = ci
+			sizes = append(sizes, 0)
+		}
+		of[i] = ci
+		sizes[ci]++
 	}
-	return s.ClassesFromKeys(keys)
+	// Carve every class out of one backing array; each class's capacity
+	// ends at its last member, so an append by a caller copies.
+	members := make([]*View, len(s.Views))
+	classes = make([][]*View, len(sizes))
+	off := 0
+	for ci, n := range sizes {
+		classes[ci] = members[off : off : off+n]
+		off += n
+	}
+	for i, v := range s.Views {
+		classes[of[i]] = append(classes[of[i]], v)
+	}
+	reps = &Set{Views: make([]*View, len(classes)), byName: make(map[string]*View, len(classes))}
+	for ci, c := range classes {
+		reps.Views[ci] = c[0]
+		reps.byName[c[0].Name()] = c[0]
+	}
+	return classes, reps
 }
 
 // anonymizeHead returns a view of def whose head predicate is replaced
 // by a fixed placeholder, so views with different names can be compared
 // as queries. The result shares def's argument and body storage — it
-// feeds the read-only Minimize/CanonicalKey pipeline, where a deep clone
-// per view would double the grouping phase's allocations.
+// feeds the read-only Minimize/ExactCanonicalKey pipeline, where a deep
+// clone per view would double the keying's allocations.
 func anonymizeHead(def *cq.Query) *cq.Query {
 	return &cq.Query{
 		Head:        cq.Atom{Pred: "_viewdef", Args: def.Head.Args},
 		Body:        def.Body,
 		Comparisons: def.Comparisons,
 	}
-}
-
-// Representatives returns one view per equivalence class, preserving set
-// order of the class representatives.
-func (s *Set) Representatives() *Set {
-	classes := s.EquivalenceClasses()
-	names := make([]string, len(classes))
-	for i, c := range classes {
-		names[i] = c[0].Name()
-	}
-	sub, err := s.Subset(names)
-	if err != nil {
-		// Cannot happen: representatives come from this set.
-		panic(err)
-	}
-	return sub
 }
 
 // BasePreds returns the sorted set of base predicates mentioned by any

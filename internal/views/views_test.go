@@ -1,7 +1,9 @@
 package views
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"viewplan/internal/containment"
@@ -212,7 +214,7 @@ func TestTupleExpansion(t *testing.T) {
 
 func TestEquivalenceClasses(t *testing.T) {
 	s := mustSet(t, carLocPartViews)
-	classes := s.EquivalenceClasses()
+	classes, _ := s.EquivalenceClasses()
 	// v1 and v5 are identical definitions; v2, v3, v4 are singletons.
 	if len(classes) != 4 {
 		t.Fatalf("got %d classes: %v", len(classes), classes)
@@ -240,7 +242,7 @@ func TestEquivalenceClassesSemantic(t *testing.T) {
 		w1(X) :- e(X, X).
 		w2(X) :- e(X, X), e(X, Y).
 	`)
-	classes := s.EquivalenceClasses()
+	classes, _ := s.EquivalenceClasses()
 	if len(classes) != 1 || len(classes[0]) != 2 {
 		t.Errorf("semantically equivalent views not merged: %v", classes)
 	}
@@ -248,9 +250,14 @@ func TestEquivalenceClassesSemantic(t *testing.T) {
 
 func TestRepresentatives(t *testing.T) {
 	s := mustSet(t, carLocPartViews)
-	reps := s.Representatives()
+	classes, reps := s.EquivalenceClasses()
 	if reps.Len() != 4 {
 		t.Errorf("representatives = %v", reps.Names())
+	}
+	for i, c := range classes {
+		if reps.Views[i] != c[0] || reps.ByName(c[0].Name()) != c[0] {
+			t.Errorf("representative %d is %s, class head is %s", i, reps.Views[i].Name(), c[0].Name())
+		}
 	}
 }
 
@@ -279,5 +286,104 @@ func TestSubset(t *testing.T) {
 	}
 	if _, err := s.Subset([]string{"nope"}); err == nil {
 		t.Error("unknown name not rejected")
+	}
+}
+
+// pathViews returns n view definitions w0…w(n-1) in ten equivalence
+// classes: view i is a path of 1+(i%10)%5 atoms over predicate
+// e<(i%10)/5>, head (first, last), spelled with variables private to
+// the view so that class members are equivalent but not identical.
+func pathViews(n int) []*cq.Query {
+	defs := make([]*cq.Query, n)
+	for i := range defs {
+		k := i % 10
+		var b strings.Builder
+		fmt.Fprintf(&b, "w%d(A%d_0, A%d_%d) :- ", i, i, i, 1+k%5)
+		for j := 0; j <= k%5; j++ {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "e%d(A%d_%d, A%d_%d)", k/5, i, j, i, j+1)
+		}
+		defs[i] = cq.MustParseQuery(b.String())
+	}
+	return defs
+}
+
+// Views are shared by every set, subset and catalog that holds them, so
+// their key memo is keyed from many goroutines at once. Run under -race.
+func TestDefinitionKeyConcurrent(t *testing.T) {
+	defs := pathViews(50)
+	want := make([]string, len(defs))
+	for i, v := range MustNewSet(defs...).Views {
+		want[i] = DefinitionKey(v)
+	}
+	shared := MustNewSet(defs...)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				classes, reps := shared.EquivalenceClasses()
+				if len(classes) != 10 || reps.Len() != 10 {
+					t.Errorf("goroutine %d: %d classes, %d representatives, want 10", g, len(classes), reps.Len())
+				}
+			}
+			for i := range shared.Views {
+				j := (i + 7*g) % len(shared.Views)
+				if got := DefinitionKey(shared.Views[j]); got != want[j] {
+					t.Errorf("goroutine %d: key of %s is %q, want %q", g, shared.Views[j].Name(), got, want[j])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// Once a set's views are keyed, grouping them again minimizes and
+// labels nothing: it allocates a constant number of tables, not one
+// key per view.
+func TestEquivalenceClassesMemoized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	s := MustNewSet(pathViews(200)...)
+	classes, _ := s.EquivalenceClasses()
+	allocs := testing.AllocsPerRun(20, func() { s.EquivalenceClasses() })
+	if limit := float64(len(classes) + 8); allocs > limit {
+		t.Fatalf("regrouping %d keyed views into %d classes: %.0f allocs, want at most %.0f",
+			s.Len(), len(classes), allocs, limit)
+	}
+	t.Logf("regrouping %d keyed views into %d classes: %.0f allocs", s.Len(), len(classes), allocs)
+}
+
+// A view whose minimized definition has no exact canonical key (here,
+// over the labeling's 16-atom cap) is grouped with no other view: two
+// non-equivalent 17-atom views that share every atom shape stay apart,
+// and so do two copies of one such view.
+func TestDefinitionKeyUnkeyedNeverMerges(t *testing.T) {
+	path := func(name string, closing bool) *cq.Query {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s(X0, X17) :- ", name)
+		n := 17
+		if closing {
+			n = 16
+		}
+		for j := 0; j < n; j++ {
+			fmt.Fprintf(&b, "r(X%d, X%d), ", j, j+1)
+		}
+		if closing {
+			b.WriteString("r(X17, X0), ")
+		}
+		return cq.MustParseQuery(strings.TrimSuffix(b.String(), ", "))
+	}
+	s := MustNewSet(path("v1", false), path("v2", true), path("v3", false))
+	classes, reps := s.EquivalenceClasses()
+	if len(classes) != 3 || reps.Len() != 3 {
+		t.Fatalf("oversized views grouped: %d classes", len(classes))
+	}
+	if DefinitionKey(s.Views[0]) == DefinitionKey(s.Views[1]) {
+		t.Fatal("non-equivalent oversized views share a key")
 	}
 }

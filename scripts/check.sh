@@ -7,8 +7,11 @@
 # sequential pass, so the shared mutable state is what requests share
 # with each other: the obs counters and the Registry with its atomic
 # histograms (including the end-to-end TestRegistryConcurrentPlanQuery
-# merge test), the containment kernel's pooled search frames, and the
-# resident ViewCatalog + plan cache — all of it hammered by the service
+# merge test), the containment kernel's pooled search frames, each
+# views.View's memoized definition key and existential variables
+# (views are shared by every set, subset and catalog that holds them;
+# TestDefinitionKeyConcurrent keys one set from eight goroutines), and
+# the resident ViewCatalog + plan cache — all of it hammered by the service
 # soak, the only concurrent driver of the planner — plus the engine's
 # pooled stream frames and per-relation join-index cache, and the
 # join-order search that drives them (internal/cost). Then run the

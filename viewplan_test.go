@@ -1,6 +1,8 @@
 package viewplan_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"viewplan"
@@ -52,6 +54,62 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	ok, err := viewplan.HasRewriting(q, vs)
 	if err != nil || !ok {
 		t.Errorf("HasRewriting = %v, %v", ok, err)
+	}
+}
+
+// seventeenAtomPair is two non-equivalent views whose minimized bodies
+// exceed the canonical labeling's 16-atom cap and share every atom shape:
+// v1 is the path X0 → … → X17, v2 the path X0 → … → X16 plus the edge
+// X17 → X0, both with head (X0, X17). Both are cores.
+func seventeenAtomPair() (v1, v2 string) {
+	var p1, p2 []string
+	for j := 0; j < 17; j++ {
+		p1 = append(p1, fmt.Sprintf("r(X%d, X%d)", j, j+1))
+	}
+	p2 = append(append(p2, p1[:16]...), "r(X17, X0)")
+	return strings.Join(p1, ", "), strings.Join(p2, ", ")
+}
+
+// Neither view may be grouped with the other: a representative that is
+// not equivalent to its class mates hides their rewritings. Each view's
+// body as a query has exactly its view as GMR, whichever view is listed
+// first, with and without a compiled catalog.
+func TestSeventeenAtomViewsNotMerged(t *testing.T) {
+	b1, b2 := seventeenAtomPair()
+	defs := map[string]string{
+		"v1": "v1(X0, X17) :- " + b1 + ".",
+		"v2": "v2(X0, X17) :- " + b2 + ".",
+	}
+	for _, order := range [][2]string{{"v1", "v2"}, {"v2", "v1"}} {
+		vs, err := viewplan.ParseViews(defs[order[0]] + "\n" + defs[order[1]])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat, err := viewplan.CompileViews(vs, viewplan.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cat.NumClasses() != 2 {
+			t.Fatalf("order %v: catalog has %d view classes, want 2", order, cat.NumClasses())
+		}
+		for view, body := range map[string]string{"v1": b1, "v2": b2} {
+			q := viewplan.MustParseQuery("q(X0, X17) :- " + body)
+			want := "q(X0, X17) :- " + view + "(X0, X17)"
+			cold, err := viewplan.FindGMRs(q, vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := viewplan.FindGMRsWith(q, nil, viewplan.Options{Catalog: cat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for path, res := range map[string]*viewplan.Result{"FindGMRs": cold, "catalog": warm} {
+				if len(res.Rewritings) != 1 || res.Rewritings[0].String() != want {
+					t.Errorf("order %v, %s's body, %s: rewritings %v, want [%s]",
+						order, view, path, res.Rewritings, want)
+				}
+			}
+		}
 	}
 }
 
