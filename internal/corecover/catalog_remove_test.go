@@ -1,8 +1,8 @@
-// Incremental RemoveView contract: the repaired catalog must be
-// indistinguishable from a fresh CompileViews over the surviving
-// definitions everywhere planning looks. Ids are compared by NAME, not
-// by interned id — the incremental catalog shares its parent's
-// append-only vocabulary, so its ids differ from a fresh catalog's.
+// RemoveView contract: the successor catalog must be indistinguishable
+// from a fresh CompileViews over the surviving definitions everywhere
+// planning looks — view order, shared View objects and their keys,
+// classes, the representative work set, the prefilter ids and every
+// planning Result.
 package corecover
 
 import (
@@ -13,48 +13,47 @@ import (
 	"viewplan/internal/workload"
 )
 
-// requireCatalogEquiv asserts inc (an incremental RemoveView result) and
-// fresh (CompileViews over the same surviving set) agree on every
-// name-level observable: view order, shared View objects and their
-// definition keys, class structure,
-// the representative work set, base predicates, and mention lists.
-func requireCatalogEquiv(t *testing.T, label string, inc, fresh *Catalog) {
+// requireCatalogEquiv asserts next (a RemoveView result) and fresh
+// (CompileViews over the same surviving set) agree on every observable:
+// view order, shared View objects and their definition keys, class
+// structure, the representative work set, and the prefilter ids.
+func requireCatalogEquiv(t *testing.T, label string, next, fresh *Catalog) {
 	t.Helper()
-	incNames, freshNames := inc.Names(), fresh.Names()
-	if len(incNames) != len(freshNames) {
-		t.Fatalf("%s: %d views, fresh has %d", label, len(incNames), len(freshNames))
+	nextNames, freshNames := next.Names(), fresh.Names()
+	if len(nextNames) != len(freshNames) {
+		t.Fatalf("%s: %d views, fresh has %d", label, len(nextNames), len(freshNames))
 	}
-	for i := range incNames {
-		if incNames[i] != freshNames[i] {
-			t.Fatalf("%s: view %d is %s, fresh has %s", label, i, incNames[i], freshNames[i])
+	for i := range nextNames {
+		if nextNames[i] != freshNames[i] {
+			t.Fatalf("%s: view %d is %s, fresh has %s", label, i, nextNames[i], freshNames[i])
 		}
 		// A surviving view is the parent set's View object, so it keeps
 		// the key memoized there; that key must be what keying the same
 		// definition afresh yields.
-		v := inc.vs.Views[i]
+		v := next.vs.Views[i]
 		if v != fresh.vs.Views[i] {
-			t.Fatalf("%s: view %s is not shared with the parent set", label, incNames[i])
+			t.Fatalf("%s: view %s is not shared with the parent set", label, nextNames[i])
 		}
 		if views.DefinitionKey(v) != views.DefinitionKey(views.MustNewSet(v.Def).Views[0]) {
-			t.Fatalf("%s: key %d differs for %s", label, i, incNames[i])
+			t.Fatalf("%s: key %d differs for %s", label, i, nextNames[i])
 		}
 	}
-	if len(inc.classes) != len(fresh.classes) {
-		t.Fatalf("%s: %d classes, fresh has %d", label, len(inc.classes), len(fresh.classes))
+	if len(next.classes) != len(fresh.classes) {
+		t.Fatalf("%s: %d classes, fresh has %d", label, len(next.classes), len(fresh.classes))
 	}
-	for i := range inc.classes {
-		if len(inc.classes[i]) != len(fresh.classes[i]) {
+	for i := range next.classes {
+		if len(next.classes[i]) != len(fresh.classes[i]) {
 			t.Fatalf("%s: class %d has %d members, fresh has %d",
-				label, i, len(inc.classes[i]), len(fresh.classes[i]))
+				label, i, len(next.classes[i]), len(fresh.classes[i]))
 		}
-		for j := range inc.classes[i] {
-			if inc.classes[i][j].Name() != fresh.classes[i][j].Name() {
+		for j := range next.classes[i] {
+			if next.classes[i][j].Name() != fresh.classes[i][j].Name() {
 				t.Fatalf("%s: class %d member %d is %s, fresh has %s",
-					label, i, j, inc.classes[i][j].Name(), fresh.classes[i][j].Name())
+					label, i, j, next.classes[i][j].Name(), fresh.classes[i][j].Name())
 			}
 		}
 	}
-	iw, fw := inc.work.Names(), fresh.work.Names()
+	iw, fw := next.work.Names(), fresh.work.Names()
 	if len(iw) != len(fw) {
 		t.Fatalf("%s: work has %d views, fresh has %d", label, len(iw), len(fw))
 	}
@@ -63,54 +62,27 @@ func requireCatalogEquiv(t *testing.T, label string, inc, fresh *Catalog) {
 			t.Fatalf("%s: work[%d] is %s, fresh has %s", label, i, iw[i], fw[i])
 		}
 	}
-	// The prefilter index must describe the same predicates per
-	// representative (by name — ids are vocabulary-private).
+	// The prefilter ids are numbered over the work set alone, so equal
+	// work sets number their predicates identically.
 	for i := range iw {
-		ip, fp := predNames(inc, inc.workPreds[i]), predNames(fresh, fresh.workPreds[i])
+		ip, fp := next.workPreds[i], fresh.workPreds[i]
 		if len(ip) != len(fp) {
 			t.Fatalf("%s: workPreds[%d] has %d preds, fresh has %d", label, i, len(ip), len(fp))
 		}
 		for j := range ip {
 			if ip[j] != fp[j] {
-				t.Fatalf("%s: workPreds[%d][%d] is %s, fresh has %s", label, i, j, ip[j], fp[j])
+				t.Fatalf("%s: workPreds[%d][%d] is %d, fresh has %d", label, i, j, ip[j], fp[j])
 			}
 		}
 	}
-	ib, fb := inc.BasePreds(), fresh.BasePreds()
-	if len(ib) != len(fb) {
-		t.Fatalf("%s: BasePreds %v, fresh %v", label, ib, fb)
-	}
-	for i := range ib {
-		if ib[i] != fb[i] {
-			t.Fatalf("%s: BasePreds %v, fresh %v", label, ib, fb)
-		}
-	}
-	for _, p := range fb {
-		im, fm := inc.ViewsMentioning(p), fresh.ViewsMentioning(p)
-		if len(im) != len(fm) {
-			t.Fatalf("%s: ViewsMentioning(%s) %v, fresh %v", label, p, im, fm)
-		}
-		for i := range im {
-			if im[i] != fm[i] {
-				t.Fatalf("%s: ViewsMentioning(%s) %v, fresh %v", label, p, im, fm)
-			}
-		}
-	}
-}
-
-func predNames(c *Catalog, ids []uint32) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = c.PredName(id)
-	}
-	return out
 }
 
 // TestRemoveViewMatchesFreshCompile removes every view, one at a time,
-// from a hand-built set that exercises all three repair cases —
-// non-representative member, sole-member class, and removed
-// representative (forcing a class re-slot) — and checks the incremental
-// catalog against a fresh compile, structurally and through planning.
+// from a hand-built set whose removals cover every class shape — a
+// non-representative member, a sole-member class, and a representative
+// whose class then moves to its next member's first occurrence — and
+// checks the successor catalog against a fresh compile, structurally and
+// through planning.
 func TestRemoveViewMatchesFreshCompile(t *testing.T) {
 	vs := views.MustNewSet(
 		cq.MustParseQuery("v1(X, Z) :- e0(X, Y), e1(Y, Z)"),
@@ -126,11 +98,11 @@ func TestRemoveViewMatchesFreshCompile(t *testing.T) {
 	}
 	q := cq.MustParseQuery("q(X, W) :- e0(X, Y), e1(Y, Z), e2(Z, W)")
 	for _, name := range vs.Names() {
-		inc, err := cat.RemoveView(name)
+		next, err := cat.RemoveView(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if inc.Generation() <= cat.Generation() {
+		if next.Generation() <= cat.Generation() {
 			t.Fatalf("remove %s: generation not fresh", name)
 		}
 		rest, err := vs.Remove(name)
@@ -141,9 +113,9 @@ func TestRemoveViewMatchesFreshCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireCatalogEquiv(t, "remove "+name, inc, fresh)
+		requireCatalogEquiv(t, "remove "+name, next, fresh)
 
-		got, err := CoreCover(q, nil, Options{Catalog: inc})
+		got, err := CoreCover(q, nil, Options{Catalog: next})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,8 +126,8 @@ func TestRemoveViewMatchesFreshCompile(t *testing.T) {
 		requireResultsEqual(t, "plan after remove "+name, want, got)
 	}
 
-	// Chained removals exercise the shared-vocabulary lineage: ids stay
-	// stable while the name-level views drop out one by one.
+	// Chained removals: each successor is built from its parent's set,
+	// and removing v4, v5 and v2 leaves no view over e2.
 	chain := cat
 	remaining := append([]string(nil), vs.Names()...)
 	for _, name := range []string{"v4", "v5", "v2"} {
@@ -181,19 +153,8 @@ func TestRemoveViewMatchesFreshCompile(t *testing.T) {
 		}
 		requireCatalogEquiv(t, "chain remove "+name, chain, fresh)
 	}
-	// A predicate mentioned only by removed views (e2, after v4/v5/v2 are
-	// gone) resolves through the shared interner but reports no mentions
-	// and leaves BasePreds.
-	if got := chain.ViewsMentioning("e2"); len(got) != 0 {
-		t.Fatalf("e2 still mentioned by %v after its views were removed", got)
-	}
-	if _, ok := chain.LookupPred("e2"); !ok {
-		t.Fatal("e2 no longer resolves: the lineage should share its interner")
-	}
-	for _, p := range chain.BasePreds() {
-		if p == "e2" {
-			t.Fatal("e2 still in BasePreds after its views were removed")
-		}
+	if _, ok := chain.predIDs["e2"]; ok {
+		t.Fatal("e2 still has a prefilter id after its views were removed")
 	}
 }
 
@@ -210,7 +171,7 @@ func TestRemoveViewMatchesFreshCompileWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range inst.Views.Names() {
-		inc, err := cat.RemoveView(name)
+		next, err := cat.RemoveView(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,9 +183,9 @@ func TestRemoveViewMatchesFreshCompileWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireCatalogEquiv(t, "remove "+name, inc, fresh)
+		requireCatalogEquiv(t, "remove "+name, next, fresh)
 
-		got, err := CoreCover(inst.Query, nil, Options{Catalog: inc})
+		got, err := CoreCover(inst.Query, nil, Options{Catalog: next})
 		if err != nil {
 			t.Fatal(err)
 		}

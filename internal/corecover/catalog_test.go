@@ -1,10 +1,14 @@
 // Catalog compilation contract: grouping parity with the per-request
-// path, copy-on-write sharing, generation freshness, and the vocabulary
-// accessors.
+// path, copy-on-write sharing, and generation freshness.
 package corecover
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 	"unsafe"
 
 	"viewplan/internal/cq"
@@ -110,46 +114,6 @@ func TestCatalogCopyOnWriteSharesViewsAndKeys(t *testing.T) {
 	}
 }
 
-func TestCatalogVocabulary(t *testing.T) {
-	vs := views.MustNewSet(
-		cq.MustParseQuery("v1(X, Y) :- e0(X, Y)"),
-		cq.MustParseQuery("v2(X, Z) :- e0(X, Y), e1(Y, Z)"),
-	)
-	cat, err := CompileViews(vs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, ok := cat.LookupPred("e0")
-	if !ok {
-		t.Fatal("e0 not in the vocabulary")
-	}
-	if cat.PredName(id) != "e0" {
-		t.Fatalf("PredName(%d) = %s", id, cat.PredName(id))
-	}
-	if _, ok := cat.LookupPred("absent"); ok {
-		t.Fatal("unknown predicate resolved")
-	}
-	if got := cat.ViewsMentioning("e0"); len(got) != 2 || got[0] != "v1" || got[1] != "v2" {
-		t.Fatalf("ViewsMentioning(e0) = %v", got)
-	}
-	if got := cat.ViewsMentioning("e1"); len(got) != 1 || got[0] != "v2" {
-		t.Fatalf("ViewsMentioning(e1) = %v", got)
-	}
-	if got := cat.ViewsMentioning("absent"); got != nil {
-		t.Fatalf("ViewsMentioning(absent) = %v", got)
-	}
-	want := vs.BasePreds()
-	got := cat.BasePreds()
-	if len(got) != len(want) {
-		t.Fatalf("BasePreds = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("BasePreds = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCatalogGenerationZeroNeverIssued(t *testing.T) {
 	vs := views.MustNewSet(cq.MustParseQuery("v1(X, Y) :- e0(X, Y)"))
 	cat, err := CompileViews(vs, Options{})
@@ -159,4 +123,80 @@ func TestCatalogGenerationZeroNeverIssued(t *testing.T) {
 	if cat.Generation() == 0 {
 		t.Fatal("generation 0 was issued; the zero value must stay unmatchable")
 	}
+}
+
+// TestCatalogMutationScale bounds a view mutation on a 5000-view
+// catalog. Every mutation is one newCatalog pass over the successor set,
+// so an add/remove pair costs two linear passes; a symbol table with a
+// per-lookup scan makes the pass quadratic and a pair cost tens of
+// milliseconds. The median of five pairs must stay under 25 ms, and each
+// pair must restore the original grouping. Even pairs add a renamed copy
+// of an existing view (it joins that view's class); odd pairs add a new
+// definition.
+func TestCatalogMutationScale(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("wall-clock bound: skipped under -short and -race")
+	}
+	const numViews, pairs = 5000, 5
+	inst, err := workload.ScaleCatalog(numViews, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := CompileViews(inst.Views, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := catalogGrouping(cat)
+	vocab := workload.ScaleVocab(numViews)
+	times := make([]time.Duration, pairs)
+	for i := range times {
+		name := fmt.Sprintf("churn%d", i)
+		def := cq.MustParseQuery(fmt.Sprintf("%s(Y0, Y1, Y2) :- e%d(Y0, Y1), e%d(Y0, Y2)",
+			name, 1+(7*i)%vocab, 1+(13*i+5)%vocab))
+		if i%2 == 0 {
+			def = inst.Views.Views[(i*997)%numViews].Def.Clone()
+			def.Head.Pred = name
+		}
+		// Collect the previous pair's garbage (and the set-up's) first,
+		// so a pair is not charged for a cycle it did not cause.
+		runtime.GC()
+		start := time.Now()
+		grown, err := cat.AddViews(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := grown.RemoveView(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		times[i] = time.Since(start)
+		if grown.Len() != numViews+1 || back.Len() != numViews {
+			t.Fatalf("pair %d: %d views after add, %d after remove", i, grown.Len(), back.Len())
+		}
+		if i%2 == 0 && grown.NumClasses() != cat.NumClasses() {
+			t.Fatalf("pair %d: the renamed copy opened a class instead of joining one", i)
+		}
+		if got := catalogGrouping(back); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pair %d: removing %s did not restore the original classes and work set", i, name)
+		}
+	}
+	slices.Sort(times)
+	median := times[pairs/2]
+	t.Logf("%d-view AddViews+RemoveView: median %v of %v", numViews, median, times)
+	if median > 25*time.Millisecond {
+		t.Fatalf("%d-view AddViews+RemoveView median %v, bound 25ms", numViews, median)
+	}
+}
+
+// catalogGrouping renders a catalog's classes and work set by view name.
+func catalogGrouping(c *Catalog) [][]string {
+	out := [][]string{c.work.Names()}
+	for _, cl := range c.classes {
+		names := make([]string, len(cl))
+		for i, v := range cl {
+			names[i] = v.Name()
+		}
+		out = append(out, names)
+	}
+	return out
 }

@@ -242,8 +242,8 @@ func prepare(q *cq.Query, vs *views.Set, opts Options) (*Result, *coverSearch, e
 		// A catalog's views were validated once at CompileViews; the
 		// per-request scan is only for ad-hoc view sets.
 		for _, v := range vs.Views {
-			if v.Def.HasComparisons() {
-				return nil, nil, fmt.Errorf("corecover: view %s uses built-in predicates; CoreCover handles pure conjunctive views (see package ucq for the Section 8 extension)", v.Name())
+			if err := checkPureView(v.Def); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
@@ -334,16 +334,18 @@ func prepare(q *cq.Query, vs *views.Set, opts Options) (*Result, *coverSearch, e
 
 // catalogCandidates returns views.ComputeTuples' candidate prefilter
 // (every body predicate of the view occurs in the minimized query's body)
-// evaluated over the catalog's precompiled interned id lists, when the
+// evaluated over the catalog's precompiled predicate-id lists, when the
 // run plans against the catalog's representative subset. Otherwise it
 // returns nil and ComputeTuples runs the same test over predicate names.
+// A query predicate no representative mentions has no id and so cannot
+// admit a view.
 func catalogCandidates(minQ *cq.Query, work *views.Set, cat *Catalog) func(int) bool {
 	if cat == nil || work != cat.work {
 		return nil
 	}
-	inQ := make([]bool, cat.vocab.NumPreds())
+	inQ := make([]bool, len(cat.predIDs))
 	for _, a := range minQ.Body {
-		if id, ok := cat.vocab.LookupPred(a.Pred); ok {
+		if id, ok := cat.predIDs[a.Pred]; ok {
 			inQ[id] = true
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"viewplan/internal/containment"
 	"viewplan/internal/cq"
 	"viewplan/internal/minicon"
+	"viewplan/internal/obs"
 	"viewplan/internal/views"
 	"viewplan/internal/workload"
 )
@@ -326,11 +327,13 @@ func TestDifferentialShardedMatchesSequential(t *testing.T) {
 
 // TestDifferentialShardedCatalogMatchesSequential runs the oracle check
 // through a compiled Catalog, the path the service plans on: the
-// candidate prefilter tests interned predicate ids against
-// Catalog.workPreds instead of predicate names and the Result shares the
-// catalog's class table. The catalog-backed Result must match the oracle
-// and equal the cold one byte for byte, capped and uncapped, grouping on
-// and off.
+// candidate prefilter tests the catalog's precompiled predicate ids
+// instead of predicate names and the Result shares the catalog's class
+// table. The catalog-backed Result must match the oracle and equal the
+// cold one byte for byte, capped and uncapped, grouping on and off.
+// Both runs probe the same representatives, so they must also report
+// the same hom_searches and batched_probes: a prefilter that admits a
+// view the name test rejects changes no Result, only those counts.
 func TestDifferentialShardedCatalogMatchesSequential(t *testing.T) {
 	for n, inst := range diffCorpus(t) {
 		cat, err := CompileViews(inst.Views, Options{})
@@ -343,17 +346,25 @@ func TestDifferentialShardedCatalogMatchesSequential(t *testing.T) {
 					label := fmt.Sprintf("%s #%d grouping=%v max=%d %s", alg.name, n, !opts.DisableViewGrouping, max, inst.Query)
 					o := opts
 					o.MaxRewritings = max
+					trCold, trCat := obs.New(), obs.New()
+					o.Tracer = trCold
 					cold, err := alg.run(inst.Query, inst.Views, o)
 					if err != nil {
 						t.Fatal(err)
 					}
 					o.Catalog = cat
+					o.Tracer = trCat
 					got, err := alg.run(inst.Query, nil, o)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireMatchesOracle(t, label+" catalog", inst, got)
 					requireResultsEqual(t, label+" cold vs catalog", cold, got)
+					for _, ctr := range []obs.Counter{obs.CtrHomSearches, obs.CtrBatchedProbes} {
+						if c, g := trCold.Counter(ctr), trCat.Counter(ctr); c != g {
+							t.Fatalf("%s: %s cold %d, catalog %d", label, ctr, c, g)
+						}
+					}
 				}
 			}
 		}

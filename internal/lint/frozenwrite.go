@@ -22,10 +22,9 @@ import (
 // (exclusive until Put), or a package-local call whose every return
 // path yields a fresh value (ReturnsFresh); and an *unexported*
 // function's parameter is fresh when every call site in the package
-// passes a fresh value — which is exactly how Catalog.rebuildWork may
-// write its receiver's slabs: it is only ever called on a successor
-// under construction. Exported functions' parameters are never fresh
-// (any caller could pass a published instance).
+// passes a fresh value, so a helper that fills in a successor under
+// construction may write it. Exported functions' parameters are never
+// fresh (any caller could pass a published instance).
 var FrozenWrite = &analysis.Analyzer{
 	Name:     "frozenwrite",
 	Doc:      "flags writes to frozen (publish-then-immutable) types outside their copy-on-write construction",

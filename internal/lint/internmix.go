@@ -20,12 +20,7 @@ import (
 // id spaces of its own — predicate ids from PredID/LookupPred and term
 // ids from ID/Lookup — and every HomTarget compiles against a different
 // instance, so its ids are just as private and the analyzer covers it
-// under the same rules. The resident corecover.Catalog (PR 7, aliased
-// viewplan.ViewCatalog) owns a view-vocabulary interner of its own
-// behind LookupPred/PredName, and copy-on-write mutation means two
-// catalog generations are two different id spaces — a predicate id
-// from one generation resolved against another is the cross-interner
-// bug again, so the catalog is an owner too.
+// under the same rules.
 //
 // Per function body, flow-insensitively, the analyzer tracks which
 // interner produced each id-holding variable (assignments from
@@ -87,7 +82,7 @@ func ownerExpr(info *types.Info, call *ast.CallExpr, methods map[string]bool) st
 		recv = p.Elem()
 	}
 	if !isNamed(recv, "engine", "Interner") && !isNamed(recv, "engine", "Database") &&
-		!isNamed(recv, "cq", "Interner") && !isNamed(recv, "corecover", "Catalog") {
+		!isNamed(recv, "cq", "Interner") {
 		return ""
 	}
 	return types.ExprString(sel.X)

@@ -30,19 +30,19 @@ func NewCatalog(vs []view) *Catalog {
 }
 
 // AddViews is copy-on-write: the successor is fresh until returned, so
-// writing it — directly or through rebuildWork — is legal.
+// writing it — directly or through reindex — is legal.
 func (c *Catalog) AddViews(vs []view) *Catalog {
 	next := &Catalog{byName: make(map[string]int, len(c.byName)+len(vs))}
 	next.views = append(next.views, c.views...)
 	next.views = append(next.views, vs...)
-	next.rebuildWork()
+	next.reindex()
 	return next
 }
 
-// rebuildWork writes its receiver. That is legal only because it is
+// reindex writes its receiver. That is legal only because it is
 // unexported and every package-local call site passes a catalog still
 // under construction (the fresh-only-parameter rule).
-func (c *Catalog) rebuildWork() {
+func (c *Catalog) reindex() {
 	for i, v := range c.views {
 		c.byName[v.name] = i
 	}

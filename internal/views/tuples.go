@@ -66,10 +66,10 @@ func (t Tuple) Expansion(gen *cq.FreshGen) (body []cq.Atom, existentials []cq.Va
 // and deciding that from a predicate set costs far less than the per-view
 // kernel setup when most of a large view set is irrelevant to the query.
 // A nil candidate runs that test over a per-call set of the query's
-// predicate names; a resident catalog passes the same test over its
-// precompiled interned ids. The surviving views are probed through one
-// pooled batch frame (containment.BatchProber) instead of a pool
-// round-trip per view.
+// predicate names; a resident catalog passes the same test over the
+// predicate ids it numbered once for its representatives. The surviving
+// views are probed through one pooled batch frame
+// (containment.BatchProber) instead of a pool round-trip per view.
 func ComputeTuples(q *cq.Query, s *Set, candidate func(i int) bool) []Tuple {
 	if candidate == nil {
 		inQ := q.Preds()

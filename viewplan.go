@@ -120,10 +120,10 @@ type (
 	Options = corecover.Options
 	// ViewCatalog is an immutable compilation of a view set, built once
 	// by CompileViews and shared freely across goroutines: precompiled
-	// view vocabulary, equivalence classes, and the representative
-	// subset, with copy-on-write AddViews/RemoveView returning a new
-	// catalog under a fresh generation. Attach via Options.Catalog or
-	// PlanRequest.Catalog.
+	// equivalence classes, the representative subset and its
+	// candidate-prefilter predicate ids, with copy-on-write
+	// AddViews/RemoveView returning a new catalog under a fresh
+	// generation. Attach via Options.Catalog or PlanRequest.Catalog.
 	ViewCatalog = corecover.Catalog
 	// PlanCache is a size-bounded concurrent LRU memo of planning
 	// Results keyed by the query's exact canonical key and the catalog
