@@ -1,7 +1,8 @@
 # viewplan build targets. `make check` is the fast pre-commit gate
 # (vet + viewplanlint + race-enabled obs/corecover/views/service/engine/
 # cost tests + the benchmark module's tests + fuzz smokes of the cq
-# parser, the engine's row tables and its query evaluator); `make lint`
+# parser, the engine's row tables, its query evaluator and the plan
+# cache's alpha-renaming path); `make lint`
 # runs just the repo's analyzer suite; `make test` is the full suite
 # (allocation gates and the paper's figure shapes included); `make
 # benchall` runs every benchmark; `make trace` exports a Perfetto trace

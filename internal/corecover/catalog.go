@@ -37,8 +37,7 @@ import (
 // never issued, so a zero generation in a cache key can never match a
 // live catalog. Each Catalog — including every copy-on-write descendant
 // — gets a fresh generation, which is what invalidates plan-cache
-// entries after AddViews/RemoveView (the IRCache generation model,
-// lifted to the plan layer).
+// entries after AddViews/RemoveView.
 var catalogGen atomic.Uint64
 
 // Catalog is an immutable compilation of a view set, safe to share

@@ -14,6 +14,7 @@ package corecover
 
 import (
 	"container/list"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,9 +57,9 @@ type planKey struct {
 // cache never hands out or retains caller-visible pointers — and vars is
 // the canonical labeling of the query res was computed for: vars[i] is
 // the variable the canonical form numbers Vi, which is what lets a hit
-// for an alpha-renamed arrival be rebased (see rebase). tpl is the
-// positional rename template instantiate uses to serve hits without any
-// per-hit substitution-map lookups.
+// for an alpha-renamed arrival be renamed onto it. tpl is the positional
+// rename template that built res and serves hits without any per-hit
+// substitution-map lookups.
 type cacheEntry struct {
 	vars []cq.Var
 	res  *Result
@@ -245,91 +246,11 @@ func usesReservedVars(q *cq.Query) bool {
 	return false
 }
 
-// rebase deep-clones a Result under the variable bijection sending the
-// source query's canonical labeling onto the target's (srcVars[i] ->
-// dstVars[i]). For a repeat of the byte-identical query the bijection is
-// the identity and the clone reproduces the cold Result byte for byte —
-// the cache-differential harness's contract. View objects and the
-// read-only ViewClasses table are shared (immutable by construction);
-// everything renameable is cloned, so a cached entry never aliases
-// caller-mutable state.
-func rebase(src *Result, srcVars, dstVars []cq.Var) *Result {
-	sigma := make(cq.Subst, len(srcVars))
-	for i, v := range srcVars {
-		sigma[v] = dstVars[i]
-	}
-	out := &Result{
-		Query:        sigma.Query(src.Query),
-		MinimalQuery: sigma.Query(src.MinimalQuery),
-		ViewClasses:  src.ViewClasses, // shared read-only, see Result.ViewClasses
-	}
-	if src.Tuples != nil {
-		out.Tuples = make([]views.Tuple, len(src.Tuples))
-		for i, t := range src.Tuples {
-			out.Tuples[i] = views.Tuple{View: t.View, Atom: sigma.Atom(t.Atom)}
-		}
-	}
-	if src.Classes != nil {
-		out.Classes = make([]TupleClass, len(src.Classes))
-		for i, tc := range src.Classes {
-			out.Classes[i] = rebaseClass(tc, sigma)
-		}
-	}
-	if src.Rewritings != nil {
-		out.Rewritings = make([]*cq.Query, len(src.Rewritings))
-		for i, rw := range src.Rewritings {
-			out.Rewritings[i] = sigma.Query(rw)
-		}
-	}
-	if src.Covers != nil {
-		out.Covers = make([][]int, len(src.Covers))
-		for i, cov := range src.Covers {
-			out.Covers[i] = append([]int(nil), cov...)
-		}
-	}
-	return out
-}
-
-// rebaseClass renames one tuple class. Core mappings send covered-query
-// variables to expansion terms: domains are query variables (renamed),
-// images are either query variables (renamed) or fresh "_E" existentials
-// (outside sigma's domain, preserved — the bypass rule guarantees the
-// arriving query cannot capture them).
-func rebaseClass(tc TupleClass, sigma cq.Subst) TupleClass {
-	out := TupleClass{Core: rebaseCore(tc.Core, sigma)}
-	out.Members = make([]views.Tuple, len(tc.Members))
-	for i, m := range tc.Members {
-		out.Members[i] = views.Tuple{View: m.View, Atom: sigma.Atom(m.Atom)}
-	}
-	return out
-}
-
-func rebaseCore(core TupleCore, sigma cq.Subst) TupleCore {
-	out := TupleCore{
-		Tuple:   views.Tuple{View: core.Tuple.View, Atom: sigma.Atom(core.Tuple.Atom)},
-		Covered: core.Covered,
-	}
-	if core.Mapping != nil {
-		out.Mapping = make(cq.Subst, len(core.Mapping))
-		for v, img := range core.Mapping { //viewplan:nondet-ok each binding is renamed independently into its own key's slot; iteration order cannot reach the result
-			nv := v
-			if img2, ok := sigma[v]; ok {
-				nv = img2.(cq.Var) // sigma is a variable bijection
-			}
-			out.Mapping[nv] = sigma.Term(img)
-		}
-	}
-	if core.Expansion != nil {
-		out.Expansion = sigma.Atoms(core.Expansion)
-	}
-	return out
-}
-
 // entryTemplate is the positional form of an entry's renameable term
 // slots, precomputed at insert so hits rename by array index instead of
 // substitution-map lookups (the map probes dominated the hit-path CPU
-// profile). refs holds one entry per term slot of the stored Result, in
-// the exact order instantiate re-walks it: ref >= 0 names dstVars[ref],
+// profile). refs holds one entry per term slot of the Result it was built
+// over, in the exact order build re-walks it: ref >= 0 names dstVars[ref],
 // ref < 0 names lits[-1-ref] (a constant, or a variable outside the
 // canonical labeling — the "_E" existentials the bypass rule protects).
 // mapPairs carries each class's core Mapping in sorted-key order, since
@@ -354,9 +275,9 @@ func varsEqual(a, b []cq.Var) bool {
 	return true
 }
 
-// buildTemplate walks res (which instantiate will re-walk in the same
-// order) recording for every atom argument whether it is positional in
-// vars or a literal. res must be the entry's own stored clone.
+// buildTemplate walks res (which build re-walks in the same order)
+// recording for every atom argument whether it is positional in vars or
+// a literal.
 func buildTemplate(res *Result, vars []cq.Var) *entryTemplate {
 	idx := make(map[cq.Var]int32, len(vars))
 	for i, v := range vars {
@@ -414,12 +335,9 @@ func buildTemplate(res *Result, vars []cq.Var) *entryTemplate {
 	return t
 }
 
-// instantiate serves one hit: a private Result equal, field for field,
-// to what rebase(e.res, e.vars, dstVars) returns — the equivalence the
-// cache-differential harness pins — but built from the positional
-// template with a single term slab shared by every atom (three-index
-// subslicing keeps the atoms' Args from aliasing each other). Query is
-// left nil: the hit path installs the arrival verbatim.
+// instantiate serves one hit: the entry's Result renamed onto the
+// arrival's canonical labeling dstVars. Query is left nil: the hit path
+// installs the arrival verbatim.
 //
 // When the arrival's canonical labeling spells the very same variables
 // as the stored entry — every textually identical replay, the dominant
@@ -428,13 +346,22 @@ func buildTemplate(res *Result, vars []cq.Var) *entryTemplate {
 // outright. Entries are never written after insert and callers receive
 // Results to read, not to edit (the same contract the catalog's shared
 // *View pointers already rely on), so the sharing is invisible except
-// to the allocator.
+// to the allocator. Any other labeling gets a private deep copy (build).
 func (e *cacheEntry) instantiate(dstVars []cq.Var) *Result {
 	if varsEqual(e.vars, dstVars) {
 		out := *e.res
 		return &out
 	}
-	src, t := e.res, e.tpl
+	return e.tpl.build(e.res, dstVars)
+}
+
+// build returns a private deep copy of src, the Result t was built over,
+// with the variable vars[i] of t's labeling renamed to dstVars[i]: every
+// atom, query, mapping and cover is new, its terms laid in a single slab
+// shared by every atom (three-index subslicing keeps the atoms' Args
+// from aliasing each other). View objects and the read-only ViewClasses
+// table are shared, immutable by construction. Query is left nil.
+func (t *entryTemplate) build(src *Result, dstVars []cq.Var) *Result {
 	// Box each destination variable into the Term interface once, not
 	// once per slot that names it — the boxing, not the copying, is the
 	// allocation.
@@ -517,12 +444,11 @@ func (e *cacheEntry) instantiate(dstVars []cq.Var) *Result {
 }
 
 // cloneEntry wraps a freshly planned Result for insertion: a private
-// deep clone (rebase under the identity bijection), a private copy of
-// the query's canonical labeling, and the hit-path rename template over
-// the stored clone.
+// copy of the query's canonical labeling, the hit-path rename template,
+// and the private deep copy of r that the template builds under the
+// identity renaming, so the entry shares nothing the caller can edit.
 func cloneEntry(r *Result, vars []cq.Var) *cacheEntry {
-	own := make([]cq.Var, len(vars))
-	copy(own, vars)
-	res := rebase(r, own, own)
-	return &cacheEntry{vars: own, res: res, tpl: buildTemplate(res, own)}
+	own := slices.Clone(vars)
+	tpl := buildTemplate(r, own)
+	return &cacheEntry{vars: own, res: tpl.build(r, own), tpl: tpl}
 }

@@ -5,6 +5,7 @@
 package corecover
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -373,5 +374,89 @@ func TestPlanCacheStripedCapacityAndEvictions(t *testing.T) {
 	// Below the threshold the cache keeps one stripe (exact global LRU).
 	if small := NewPlanCache(planCacheStripeMin - 1); len(small.stripes) != 1 {
 		t.Fatalf("capacity %d built %d stripes, want 1", planCacheStripeMin-1, len(small.stripes))
+	}
+}
+
+// An entry shares nothing its callers can edit: after the insert, edits
+// to the Result the missing run returned and to a Result a renamed hit
+// served leave a later hit equal to the cold Result, term for term.
+func TestPlanCacheEntryIsPrivate(t *testing.T) {
+	_, cat := cacheFixture(t)
+	q := cq.MustParseQuery("q(A, B, C) :- e0(A, B), e1(A, C)")
+	cold, err := CoreCover(q, nil, Options{Catalog: cat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultTerms(cold)
+	cache := NewPlanCache(8)
+	miss, hm := planCounted(t, q, cat, cache)
+	if hm.misses != 1 {
+		t.Fatalf("first run: %+v, want a miss", hm)
+	}
+	scribble(miss)
+	hit, hm := planCounted(t, cq.MustParseQuery("q(U, V, W) :- e0(U, V), e1(U, W)"), cat, cache)
+	if hm.hits != 1 {
+		t.Fatalf("renamed run: %+v, want a hit", hm)
+	}
+	scribble(hit)
+	got, hm := planCounted(t, q, cat, cache)
+	if hm.hits != 1 {
+		t.Fatalf("repeat: %+v, want a hit", hm)
+	}
+	if g := resultTerms(got); g != want {
+		t.Fatalf("hit after the callers' edits:\n%s\ncold:\n%s", g, want)
+	}
+}
+
+// resultTerms renders every renameable part of r.
+func resultTerms(r *Result) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, r.MinimalQuery)
+	for _, tu := range r.Tuples {
+		fmt.Fprintln(&b, tu.Atom)
+	}
+	for _, tc := range r.Classes {
+		fmt.Fprintln(&b, tc.Core.Tuple.Atom, tc.Core.Covered, tc.Core.Mapping, tc.Core.Expansion, tc.Members)
+	}
+	fmt.Fprintln(&b, r.Rewritings, r.Covers)
+	return b.String()
+}
+
+// scribble overwrites every renameable part of r in place.
+func scribble(r *Result) {
+	atom := func(a cq.Atom) {
+		for i := range a.Args {
+			a.Args[i] = cq.Const("zz")
+		}
+	}
+	query := func(q *cq.Query) {
+		atom(q.Head)
+		for _, a := range q.Body {
+			atom(a)
+		}
+	}
+	query(r.MinimalQuery)
+	for _, tu := range r.Tuples {
+		atom(tu.Atom)
+	}
+	for _, tc := range r.Classes {
+		atom(tc.Core.Tuple.Atom)
+		for v := range tc.Core.Mapping {
+			tc.Core.Mapping[v] = cq.Const("zz")
+		}
+		for _, a := range tc.Core.Expansion {
+			atom(a)
+		}
+		for _, m := range tc.Members {
+			atom(m.Atom)
+		}
+	}
+	for _, rw := range r.Rewritings {
+		query(rw)
+	}
+	for _, cov := range r.Covers {
+		for i := range cov {
+			cov[i] = -1
+		}
 	}
 }

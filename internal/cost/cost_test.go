@@ -303,7 +303,7 @@ func TestFilteringViewImprovesM2(t *testing.T) {
 			filters = append(filters, c)
 		}
 	}
-	res, err := ImproveWithFilters(db, p2, query, vs, filters)
+	res, err := ImproveWithFilters(db, p2, query, vs, filters, new(Memo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestFilteringViewImprovesM2(t *testing.T) {
 func TestImproveWithFiltersNoCandidates(t *testing.T) {
 	db, vs, query := example61(t)
 	p := q("q(A) :- v1(A, B), v2(A, B)")
-	res, err := ImproveWithFilters(db, p, query, vs, nil)
+	res, err := ImproveWithFilters(db, p, query, vs, nil, new(Memo))
 	if err != nil {
 		t.Fatal(err)
 	}

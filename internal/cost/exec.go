@@ -34,9 +34,7 @@ type ExecStats struct {
 // relation named after the rewriting's head: scans and probe joins in
 // the plan's order, the M3 per-step projections, the comparison filter
 // and the head, drained at the root with no intermediate relation
-// materialized. The result relation does not bump the database
-// generation, so executing one candidate does not invalidate
-// intermediates the IR cache holds for the next.
+// materialized.
 func ExecutePlan(db *engine.Database, p *Plan, _ ExecOptions) (*engine.Relation, ExecStats, error) {
 	if p == nil || p.Rewriting == nil {
 		return nil, ExecStats{}, fmt.Errorf("cost: nil plan")
@@ -49,7 +47,7 @@ func ExecutePlan(db *engine.Database, p *Plan, _ ExecOptions) (*engine.Relation,
 	if err := validOrder(order, len(q.Body)); err != nil {
 		return nil, ExecStats{}, err
 	}
-	out, stats, err := db.StreamQuery(q, order, stepRetains(p, order), false)
+	out, stats, err := db.StreamQuery(q, order, stepRetains(p, order))
 	if err != nil {
 		return nil, ExecStats{}, err
 	}

@@ -12,10 +12,11 @@ import (
 // replays the plan's JoinStep chain exactly as the cost simulation ran
 // it — same order, same per-step projections — then filters and
 // projects the head in string space (answerInStrings), apart from the
-// executor's interned operators. It deliberately bypasses the IR cache:
-// cached intermediates may have been materialized under a different
-// join order, and while their row sets are equal their insertion order
-// is not, which would break byte-identity with the production executor.
+// executor's interned operators. It deliberately bypasses the planning
+// memo: memoized intermediates may have been materialized under a
+// different join order, and while their row sets are equal their
+// insertion order is not, which would break byte-identity with the
+// production executor.
 // PeakResidentRows is the largest adjacent intermediate pair (IR_{i-1}
 // feeds the join producing IR_i, so both are live; the filtered rows
 // count as one more intermediate).

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -70,38 +71,45 @@ func execVsOracle(t *testing.T, db *engine.Database, p *Plan) (got, want oracleR
 
 // ExecutePlan produces the oracle's byte-identical relation, probing no
 // more index rows, on random M2 and M3 plans over random chain
-// instances — with and without an IR cache attached (PlanQuery executes
-// with one attached; the executor must not be affected by it).
+// instances — planned with a fresh memo per search and with one memo
+// shared by every search, the last pass served from it (PlanQuery shares
+// one across its candidates; the plans must not depend on it).
 func TestQuickExecutePlanAllPathsIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		db, p, q, vs, ok := costFixture(seed)
 		if !ok {
 			return true
 		}
-		m2, err := BestPlanM2(db, p)
-		if err != nil {
-			return false
-		}
-		m3, err := BestPlanM3(db, p, RenamingHeuristic, q, vs)
-		if err != nil {
-			return false
-		}
+		memo := new(Memo)
+		fresh := func() *Memo { return new(Memo) }
+		shared := func() *Memo { return memo }
 		var base oracleRun
-		for _, plan := range []*Plan{m2, m3} {
-			db.SetIRCache(nil)
-			base, err = runOracle(db, plan)
+		var trees []string
+		for _, memoFor := range []func() *Memo{fresh, shared, shared} {
+			m2, err := BestPlanM2Below(db, p, math.MaxInt, memoFor())
 			if err != nil {
 				return false
 			}
-			for _, cache := range []*engine.IRCache{nil, engine.NewIRCache()} {
-				db.SetIRCache(cache)
+			m3, err := BestPlanM3Below(db, p, RenamingHeuristic, q, vs, math.MaxInt, memoFor())
+			if err != nil {
+				return false
+			}
+			for k, plan := range []*Plan{m2, m3} {
+				if len(trees) < 2 {
+					trees = append(trees, plan.Tree())
+				} else if plan.Tree() != trees[k] {
+					return false
+				}
+				base, err = runOracle(db, plan)
+				if err != nil {
+					return false
+				}
 				got, err := runProduction(db, plan)
 				if err != nil || !rowsIdentical(base.rel, got.rel) || got.probeRows > base.probeRows {
 					return false
 				}
 			}
 		}
-		db.SetIRCache(nil)
 		// Executing candidates must agree with direct evaluation on the
 		// row set (orders legitimately differ across join orders).
 		re, err := db.Evaluate(p)
@@ -154,7 +162,6 @@ func TestExecutePlanExample61(t *testing.T) {
 func TestExecutePlanPeakResident(t *testing.T) {
 	db, vs, q := example61(t)
 	res := rewritingsFor(t, q, vs)
-	db.SetIRCache(nil)
 	for _, r := range res {
 		m2, err := BestPlanM2(db, r)
 		if err != nil {

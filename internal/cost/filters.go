@@ -24,12 +24,12 @@ type FilterResult struct {
 // filter literals while each addition (a) keeps the rewriting equivalent
 // to q and (b) strictly lowers the best M2 plan cost on db. Candidates
 // are typically Result.FilterClasses tuples from CoreCoverStar, but any
-// view tuple works.
-func ImproveWithFilters(db *engine.Database, p, q *cq.Query, vs *views.Set, candidates []views.Tuple) (*FilterResult, error) {
+// view tuple works. Every search goes through memo, the request's.
+func ImproveWithFilters(db *engine.Database, p, q *cq.Query, vs *views.Set, candidates []views.Tuple, memo *Memo) (*FilterResult, error) {
 	tr := db.Tracer()
 	sp := tr.Start(obs.PhaseFilterSelection)
 	defer sp.End()
-	best, err := BestPlanM2(db, p)
+	best, err := bestPlanM2(db, p, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +49,7 @@ func ImproveWithFilters(db *engine.Database, p, q *cq.Query, vs *views.Set, cand
 			}
 			// Only a strictly cheaper extension is kept, so the current
 			// plan's cost bounds the search.
-			plan, err := BestPlanM2Below(db, ext, res.Plan.Cost)
+			plan, err := BestPlanM2Below(db, ext, res.Plan.Cost, memo)
 			if err != nil {
 				return nil, err
 			}

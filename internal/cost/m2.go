@@ -4,81 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 
 	"viewplan/internal/cq"
 	"viewplan/internal/engine"
 	"viewplan/internal/obs"
 )
-
-// maskKeyer builds canonical IR-cache keys for subgoal subsets of one
-// rewriting body. An M2 intermediate relation is determined by the *set*
-// of subgoals joined, so its key is the sorted list of their atom
-// strings — identical across join orders and across rewritings sharing
-// view tuples. M3's gsrKey extends it.
-type maskKeyer struct {
-	atoms  []string // atom string per body index
-	sorted []int    // body indices ordered by atom string
-}
-
-func newMaskKeyer(body []cq.Atom) *maskKeyer {
-	k := &maskKeyer{atoms: make([]string, len(body)), sorted: identityOrder(len(body))}
-	for i, a := range body {
-		k.atoms[i] = a.String()
-	}
-	sort.Slice(k.sorted, func(i, j int) bool { return k.atoms[k.sorted[i]] < k.atoms[k.sorted[j]] })
-	return k
-}
-
-// key names the join of the subgoals in mask; a nil keyer (no IR cache)
-// names nothing.
-func (k *maskKeyer) key(mask int) string {
-	if k == nil {
-		return ""
-	}
-	size := len("m2")
-	for i, a := range k.atoms {
-		if mask&(1<<uint(i)) != 0 {
-			size += 1 + len(a)
-		}
-	}
-	var b strings.Builder
-	b.Grow(size)
-	b.WriteString("m2")
-	for _, i := range k.sorted {
-		if mask&(1<<uint(i)) != 0 {
-			b.WriteByte(0)
-			b.WriteString(k.atoms[i])
-		}
-	}
-	return b.String()
-}
-
-// joinStepCached is db.JoinStep(cur, atom, keep) through the database's
-// IR cache under key, the canonical name of the result (maskKeyer.key
-// under M2, maskKeyer.gsrKey under M3); an empty key bypasses the cache.
-// The reused relation's schema is forced to exactly what JoinStep would
-// produce, so plans built from cached relations render byte-identically
-// to uncached ones.
-func joinStepCached(db *engine.Database, key string, cur *engine.VarRelation, atom cq.Atom, keep []cq.Var) (*engine.VarRelation, error) {
-	if key == "" || db.IRCache() == nil {
-		return db.JoinStep(cur, atom, keep)
-	}
-	want := engine.Schema(keep)
-	if keep == nil {
-		want = engine.JoinSchema(cur.Schema, atom)
-	}
-	if vr, ok := db.IRLookup(key, want); ok {
-		return vr, nil
-	}
-	vr, err := db.JoinStep(cur, atom, keep)
-	if err != nil {
-		return nil, err
-	}
-	db.IRStore(key, vr)
-	return vr, nil
-}
 
 // PlanM2 simulates the M2 physical plan of rewriting p that joins the
 // subgoals in the given order, retaining all attributes (IR_i), and
@@ -97,15 +27,9 @@ func PlanM2(db *engine.Database, p *cq.Query, order []int) (*Plan, error) {
 		return nil, err
 	}
 	plan := &Plan{Model: M2, Rewriting: p.Clone(), Order: append([]int(nil), order...)}
-	var keyer *maskKeyer
-	if db.IRCache() != nil {
-		keyer = newMaskKeyer(p.Body)
-	}
 	cur := engine.UnitVarRelation()
-	mask := 0
 	for _, idx := range order {
-		mask |= 1 << uint(idx)
-		cur, err = joinStepCached(db, keyer.key(mask), cur, p.Body[idx], nil)
+		cur, err = db.JoinStep(cur, p.Body[idx], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -121,9 +45,13 @@ func PlanM2(db *engine.Database, p *cq.Query, order []int) (*Plan, error) {
 }
 
 // BestPlanM2 finds a minimum-cost M2 plan for rewriting p over db: the
-// search of BestPlanM2Below with no bound.
+// search of BestPlanM2Below with no bound and a fresh memo.
 func BestPlanM2(db *engine.Database, p *cq.Query) (*Plan, error) {
-	plan, err := BestPlanM2Below(db, p, math.MaxInt)
+	return bestPlanM2(db, p, new(Memo))
+}
+
+func bestPlanM2(db *engine.Database, p *cq.Query, memo *Memo) (*Plan, error) {
+	plan, err := BestPlanM2Below(db, p, math.MaxInt, memo)
 	if err == nil && plan == nil {
 		err = fmt.Errorf("cost: internal error: full join unreachable")
 	}
@@ -138,10 +66,10 @@ func BestPlanM2(db *engine.Database, p *cq.Query) (*Plan, error) {
 //
 // The order is the lattice search's over subgoal sets, which needs sizes,
 // not rows: an edge is relaxed with engine.JoinCount, limited to what is
-// left of the bound, and exact counts are memoized in the IR cache. A
+// left of the bound, and exact counts are kept in memo, the request's. A
 // subset's relation is materialized only when a successor of it has to
 // be counted, so cross-product subsets are counted but never built.
-func BestPlanM2Below(db *engine.Database, p *cq.Query, bound int) (*Plan, error) {
+func BestPlanM2Below(db *engine.Database, p *cq.Query, bound int, memo *Memo) (*Plan, error) {
 	tr := db.Tracer()
 	sp := tr.Start(obs.PhaseM2Optimizer)
 	defer sp.End()
@@ -149,11 +77,8 @@ func BestPlanM2Below(db *engine.Database, p *cq.Query, bound int) (*Plan, error)
 	if irBound <= 0 {
 		return nil, err
 	}
-	m := &m2Model{lattice: lattice{n: len(p.Body)}, db: db, body: p.Body}
+	m := &m2Model{lattice: lattice{n: len(p.Body)}, db: db, body: p.Body, memo: memo, keyer: memo.keyer(p.Body)}
 	m.model = m
-	if db.IRCache() != nil {
-		m.keyer = newMaskKeyer(p.Body)
-	}
 	states, order, err := m.order(tr, irBound)
 	if states == nil {
 		return nil, err
@@ -179,34 +104,37 @@ type m2Model struct {
 	lattice
 	db    *engine.Database
 	body  []cq.Atom
-	keyer *maskKeyer // nil without an IR cache
+	memo  *Memo
+	keyer *maskKeyer
 }
 
 // key is empty: an M2 state is its subgoal set.
 func (m *m2Model) key(st, g int) string { return "" }
 
-// measure returns |IR| of mask ∪ {g}, exact when at most limit: from the IR
-// cache when some search of this request already counted the subset,
+// measure returns |IR| of mask ∪ {g}, exact when at most limit: from the
+// memo when some search of this request already counted the subset,
 // otherwise by a count-only probe of mask's relation.
 func (m *m2Model) measure(mask, g, next, limit int) (int, error) {
-	key := m.keyer.key(next)
-	if w, ok := m.db.IRSize(key); ok {
+	key := m.keyer.subset(next)
+	w, ok := m.memo.sizes[key]
+	tickMemo(m.db.Tracer(), ok)
+	if ok {
 		return w, nil
 	}
 	cur, err := m.rel(mask)
 	if err != nil {
 		return 0, err
 	}
-	w, err := m.db.JoinCount(cur, m.body[g], limit)
+	w, err = m.db.JoinCount(cur, m.body[g], limit)
 	if err == nil && w <= limit {
-		m.db.IRStoreSize(key, w)
+		m.memo.sizes[key] = w
 	}
 	return w, err
 }
 
 // rel materializes a settled subset's relation on first use, joining
-// along the chain the search settled for it (through the IR cache, under
-// the subset's canonical key).
+// along the chain the search settled for it (through the memo, under the
+// subset's key).
 func (m *m2Model) rel(mask int) (*engine.VarRelation, error) {
 	if m.rels[mask] != nil {
 		return m.rels[mask], nil
@@ -216,6 +144,6 @@ func (m *m2Model) rel(mask int) (*engine.VarRelation, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.rels[mask], err = joinStepCached(m.db, m.keyer.key(mask), cur, m.body[bits.TrailingZeros(uint(mask^prev))], nil)
+	m.rels[mask], err = memoJoin(m.db, m.memo.rels, m.keyer.subset(mask), cur, m.body[bits.TrailingZeros(uint(mask^prev))], nil)
 	return m.rels[mask], err
 }

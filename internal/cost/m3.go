@@ -137,9 +137,16 @@ func (r *dropRule) step(done, rest []cq.Atom, retained cq.VarSet) ([]cq.Var, []c
 // relation GSR_i after each step. Joins match only on retained shared
 // variables: once a variable is dropped, a later subgoal mentioning it
 // rebinds it freshly (the equality comparison is gone), exactly the
-// semantics of the Section 6.2 heuristic. With an IR cache the GSRs go
-// through it under the keys BestPlanM3Below's search gives them.
+// semantics of the Section 6.2 heuristic. The GSRs go through a fresh
+// memo.
 func PlanM3(db *engine.Database, p *cq.Query, order []int, drops [][]cq.Var) (*Plan, error) {
+	return planM3(db, p, order, drops, new(Memo))
+}
+
+// planM3 is PlanM3 with the GSRs going through memo under the keys
+// BestPlanM3Below's search gives them, so a replay after the search
+// joins nothing the search already joined.
+func planM3(db *engine.Database, p *cq.Query, order []int, drops [][]cq.Var, memo *Memo) (*Plan, error) {
 	n := len(p.Body)
 	if order == nil {
 		order = identityOrder(n)
@@ -155,7 +162,7 @@ func PlanM3(db *engine.Database, p *cq.Query, order []int, drops [][]cq.Var) (*P
 		return nil, err
 	}
 	plan := &Plan{Model: M3, Rewriting: p.Clone(), Order: append([]int(nil), order...)}
-	keyer, vars := newMaskKeyer(p.Body), p.Vars()
+	keyer, vars := memo.keyer(p.Body), p.Vars()
 	gen := cq.NewFreshGen("_D", vars)
 	atoms := p.Body // the prefix with the drops' renames applied
 	cur := engine.UnitVarRelation()
@@ -169,11 +176,11 @@ func PlanM3(db *engine.Database, p *cq.Query, order []int, drops [][]cq.Var) (*P
 		}
 		keep := retained.Sorted()
 		atoms = renameDropped(atoms, mask, drops[step], gen)
-		var key string
 		if step < n-1 { // the full set's GSR is a prefix of nothing
-			key = keyer.gsrKey(mask, atoms, keep, vars)
+			cur, err = memoJoin(db, memo.gsrs, keyer.gsrKey(mask, atoms, keep, vars), cur, p.Body[idx], keep)
+		} else {
+			cur, err = db.JoinStep(cur, p.Body[idx], keep)
 		}
-		cur, err = joinStepCached(db, key, cur, p.Body[idx], keep)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +227,7 @@ func renameDropped(atoms []cq.Atom, mask int, dropped []cq.Var, gen *cq.FreshGen
 // rename's fresh variable and is numbered by first occurrence, so the
 // prefixes that rename the same occurrences share the key whatever names
 // their renames drew. The key determines the relation, π_keep(⋈ atoms),
-// so it is the IR-cache key across orders and rewritings and the name of
+// so it is the memo's key across orders and rewritings and the name of
 // the search's state within its subgoal set.
 func (k *maskKeyer) gsrKey(mask int, atoms []cq.Atom, keep []cq.Var, vars cq.VarSet) string {
 	var b strings.Builder
@@ -247,19 +254,20 @@ func (k *maskKeyer) gsrKey(mask int, atoms []cq.Atom, keep []cq.Var, vars cq.Var
 }
 
 // BestPlanM3 finds a minimum-cost M3 plan for p over db under the given
-// drop strategy: the search of BestPlanM3Below with no bound.
+// drop strategy: the search of BestPlanM3Below with no bound and a fresh
+// memo.
 func BestPlanM3(db *engine.Database, p *cq.Query, strategy DropStrategy, q *cq.Query, vs *views.Set) (*Plan, error) {
-	return BestPlanM3Below(db, p, strategy, q, vs, math.MaxInt)
+	return BestPlanM3Below(db, p, strategy, q, vs, math.MaxInt, new(Memo))
 }
 
 // BestPlanM3Below finds a minimum-cost M3 plan for p over db among the
 // plans that cost less than bound; it returns a nil plan when there is
 // none. The order is the lattice search's over the drop rule's states: a
 // state's successor is named by running the rule for one more subgoal
-// and sized by materializing its GSR through the IR cache under gsrKey.
-// The plan is PlanM3's replay of the order found, which the cache serves
-// from the search's own GSRs.
-func BestPlanM3Below(db *engine.Database, p *cq.Query, strategy DropStrategy, q *cq.Query, vs *views.Set, bound int) (*Plan, error) {
+// and sized by materializing its GSR through memo, the request's, under
+// gsrKey. The plan is PlanM3's replay of the order found, which memo
+// serves from the search's own GSRs.
+func BestPlanM3Below(db *engine.Database, p *cq.Query, strategy DropStrategy, q *cq.Query, vs *views.Set, bound int, memo *Memo) (*Plan, error) {
 	tr := db.Tracer()
 	sp := tr.Start(obs.PhaseM3Optimizer)
 	defer sp.End()
@@ -271,7 +279,7 @@ func BestPlanM3Below(db *engine.Database, p *cq.Query, strategy DropStrategy, q 
 	if irBound <= 0 {
 		return nil, err
 	}
-	m := &m3Model{lattice: lattice{n: len(p.Body), ids: map[stateKey]int32{}}, db: db, rule: rule, keyer: newMaskKeyer(p.Body), vars: p.Vars()}
+	m := &m3Model{lattice: lattice{n: len(p.Body), ids: map[stateKey]int32{}}, db: db, rule: rule, memo: memo, keyer: memo.keyer(p.Body), vars: p.Vars()}
 	m.model = m
 	m.atoms, m.keep = [][]cq.Atom{p.Body}, [][]cq.Var{nil}
 	_, order, err := m.order(tr, irBound)
@@ -282,7 +290,7 @@ func BestPlanM3Below(db *engine.Database, p *cq.Query, strategy DropStrategy, q 
 	if err != nil {
 		return nil, err
 	}
-	return PlanM3(db, p, order, drops)
+	return planM3(db, p, order, drops, memo)
 }
 
 // m3Model names the lattice's states by the drop rule and sizes them by
@@ -291,6 +299,7 @@ type m3Model struct {
 	lattice
 	db    *engine.Database
 	rule  *dropRule
+	memo  *Memo
 	keyer *maskKeyer
 	vars  cq.VarSet // the rewriting's own variables
 
@@ -328,11 +337,13 @@ func (m *m3Model) key(st, g int) string {
 // is a prefix of nothing: it is sized, not memoized.
 func (m *m3Model) measure(st, g, next, limit int) (int, error) {
 	m.atoms, m.keep = append(m.atoms, m.nextAtoms), append(m.keep, m.nextKeep)
-	key := m.keys[next].key
+	var rel *engine.VarRelation
+	var err error
 	if m.keys[next].mask == m.full {
-		key = ""
+		rel, err = m.db.JoinStep(m.rels[st], m.rule.p.Body[g], m.keep[next])
+	} else {
+		rel, err = memoJoin(m.db, m.memo.gsrs, m.keys[next].key, m.rels[st], m.rule.p.Body[g], m.keep[next])
 	}
-	rel, err := joinStepCached(m.db, key, m.rels[st], m.rule.p.Body[g], m.keep[next])
 	if err != nil {
 		return 0, err
 	}

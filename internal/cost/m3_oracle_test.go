@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -138,7 +139,8 @@ func m3Corpus(t *testing.T) []m3Case {
 }
 
 // The lattice search finds the exhaustive optimum under both drop
-// strategies, with and without an IR cache, and the plan it returns is
+// strategies, with a fresh memo per call and with one memo shared by
+// every search over the same database, and the plan it returns is
 // the plan of its order: replaying Drops and PlanM3 on that order gives
 // the same drops, schemas, sizes and cost step by step. A bound at the
 // optimum finds nothing, a bound just above it finds the optimum.
@@ -148,7 +150,11 @@ func TestBestPlanM3MatchesExhaustive(t *testing.T) {
 		t.Fatalf("corpus has only %d rewritings", len(cases))
 	}
 	heuristicMattered := false
+	memos := map[*engine.Database]*Memo{}
 	for _, tc := range cases {
+		if memos[tc.db] == nil {
+			memos[tc.db] = new(Memo)
+		}
 		var costs [2]int
 		for _, strategy := range []DropStrategy{SupplementaryRelations, RenamingHeuristic} {
 			want, err := bestPlanM3Exhaustive(tc.db, tc.p, strategy, tc.q, tc.vs)
@@ -156,19 +162,21 @@ func TestBestPlanM3MatchesExhaustive(t *testing.T) {
 				t.Fatalf("%s: oracle: %v", tc.name, err)
 			}
 			costs[strategy] = want.Cost
-			for _, cached := range []bool{false, true} {
-				if cached {
-					tc.db.SetIRCache(engine.NewIRCache())
+			for _, shared := range []bool{false, true} {
+				memo := func() *Memo {
+					if shared {
+						return memos[tc.db]
+					}
+					return new(Memo)
 				}
-				got, err := BestPlanM3(tc.db, tc.p, strategy, tc.q, tc.vs)
-				none, errNone := BestPlanM3Below(tc.db, tc.p, strategy, tc.q, tc.vs, want.Cost)
-				just, errJust := BestPlanM3Below(tc.db, tc.p, strategy, tc.q, tc.vs, want.Cost+1)
-				tc.db.SetIRCache(nil)
+				got, err := BestPlanM3Below(tc.db, tc.p, strategy, tc.q, tc.vs, math.MaxInt, memo())
+				none, errNone := BestPlanM3Below(tc.db, tc.p, strategy, tc.q, tc.vs, want.Cost, memo())
+				just, errJust := BestPlanM3Below(tc.db, tc.p, strategy, tc.q, tc.vs, want.Cost+1, memo())
 				if err != nil || errNone != nil || errJust != nil {
 					t.Fatalf("%s %v: %v / %v / %v", tc.name, strategy, err, errNone, errJust)
 				}
 				if got.Cost != want.Cost {
-					t.Errorf("%s %v (cache %v): cost %d, exhaustive optimum %d\n%s\n%s", tc.name, strategy, cached, got.Cost, want.Cost, got.Tree(), want.Tree())
+					t.Errorf("%s %v (shared memo %v): cost %d, exhaustive optimum %d\n%s\n%s", tc.name, strategy, shared, got.Cost, want.Cost, got.Tree(), want.Tree())
 					continue
 				}
 				if none != nil {
@@ -198,7 +206,7 @@ func TestBestPlanM3MatchesExhaustive(t *testing.T) {
 			t.Errorf("%s: renaming heuristic optimum %d above supplementary relations' %d", tc.name, costs[RenamingHeuristic], costs[SupplementaryRelations])
 		}
 	}
-	t.Logf("%d rewritings × 2 strategies × cache on/off", len(cases))
+	t.Logf("%d rewritings × 2 strategies × fresh/shared memo", len(cases))
 	if !heuristicMattered {
 		t.Error("the renaming heuristic never beat supplementary relations: the corpus does not exercise its drops")
 	}

@@ -71,11 +71,11 @@ func TestQuickBestPlanM2Optimal(t *testing.T) {
 		if err != nil || replay.Tree() != best.Tree() {
 			return false
 		}
-		none, err := BestPlanM2Below(db, p, exh.Cost)
+		none, err := BestPlanM2Below(db, p, exh.Cost, new(Memo))
 		if err != nil || none != nil {
 			return false
 		}
-		just, err := BestPlanM2Below(db, p, exh.Cost+1)
+		just, err := BestPlanM2Below(db, p, exh.Cost+1, new(Memo))
 		if err != nil || just == nil || just.Tree() != best.Tree() {
 			return false
 		}
@@ -229,7 +229,7 @@ func TestQuickFiltersOnlyImprove(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := ImproveWithFilters(db, p, q, vs, tuples)
+		res, err := ImproveWithFilters(db, p, q, vs, tuples, new(Memo))
 		if err != nil {
 			return false
 		}

@@ -61,7 +61,7 @@ func (db *Database) compileAtom(cur Schema, atom cq.Atom) (atomSpec, error) {
 		if db.strict {
 			return atomSpec{}, &UnknownPredicateError{Pred: atom.Pred}
 		}
-		rel = newRelationIn(atom.Pred, atom.Arity(), db.in, nil)
+		rel = newRelationIn(atom.Pred, atom.Arity(), db.in)
 	}
 	if rel.Arity != atom.Arity() {
 		return atomSpec{}, fmt.Errorf("engine: subgoal %s has arity %d, relation has %d", atom, atom.Arity(), rel.Arity)

@@ -14,14 +14,11 @@ import (
 // Database is a collection of named relations: the base relations plus any
 // materialized views. All its relations share one symbol table (Interner),
 // so the join kernel compares and hashes dense integer ids instead of
-// strings. gen counts row inserts across the database; the IR cache uses
-// it to detect staleness.
+// strings.
 type Database struct {
 	rels   map[string]*Relation
 	tracer *obs.Tracer
 	in     *Interner
-	gen    uint64
-	ir     *IRCache
 	strict bool
 }
 
@@ -40,6 +37,17 @@ func (db *Database) SetTracer(tr *obs.Tracer) { db.tracer = tr }
 
 // Tracer returns the attached tracer (nil when tracing is off).
 func (db *Database) Tracer() *obs.Tracer { return db.tracer }
+
+// IRCache is a no-op shim kept for callers of Database.SetIRCache: the
+// cost optimizers memoize per planning request (cost.Memo), not on the
+// database.
+type IRCache struct{}
+
+// NewIRCache returns an IRCache, which does nothing.
+func NewIRCache() *IRCache { return &IRCache{} }
+
+// SetIRCache does nothing: planning memoizes per request (cost.Memo).
+func (db *Database) SetIRCache(*IRCache) {}
 
 // SetStrictPredicates controls how the engine treats subgoals over
 // predicates the database has no relation for. By default they join as
@@ -75,7 +83,7 @@ func (db *Database) Names() []string {
 // Create adds an empty relation sharing the database's symbol table,
 // replacing any existing relation of the same name.
 func (db *Database) Create(name string, arity int) *Relation {
-	r := newRelationIn(name, arity, db.in, &db.gen)
+	r := newRelationIn(name, arity, db.in)
 	db.rels[name] = r
 	return r
 }
@@ -154,13 +162,12 @@ func (db *Database) MaterializeViews(vs *views.Set) error {
 // Evaluate computes the answer relation of a conjunctive query over the
 // database (set semantics): the executor (StreamQuery) in the greedy
 // order, so no intermediate relation is materialized. Missing body
-// relations evaluate as empty (or error in strict mode); the answer's
-// rows advance the database generation.
+// relations evaluate as empty (or error in strict mode).
 func (db *Database) Evaluate(q *cq.Query) (*Relation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	rel, _, err := db.StreamQuery(q, db.greedyOrder(q.Body), nil, true)
+	rel, _, err := db.StreamQuery(q, db.greedyOrder(q.Body), nil)
 	return rel, err
 }
 
@@ -204,7 +211,7 @@ func (db *Database) greedyOrder(body []cq.Atom) []int {
 // JoinSchema returns the schema JoinStep produces before any retain
 // projection: cur's columns followed by the atom's new variables in
 // first-occurrence order. It is exported so the cost optimizers can
-// predict a join's schema when reusing a cached intermediate relation.
+// name a plan step's schema without building its relation.
 func JoinSchema(cur Schema, atom cq.Atom) Schema {
 	out := append(Schema(nil), cur...)
 	seen := make(map[cq.Var]bool)

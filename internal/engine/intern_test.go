@@ -474,32 +474,3 @@ func TestLazyRowsTrackInserts(t *testing.T) {
 		t.Errorf("sorted = %v", sorted)
 	}
 }
-
-// remapped permutes columns without disturbing set semantics, and a
-// frozen copy lazily rebuilds its dedup set when mutated.
-func TestVarRelationRemapped(t *testing.T) {
-	vr := NewVarRelation(Schema{"X", "Y"})
-	vr.Insert(Tuple{"a", "1"})
-	vr.Insert(Tuple{"b", "2"})
-	re, ok := vr.remapped(Schema{"Y", "X"})
-	if !ok {
-		t.Fatal("remap refused a pure permutation")
-	}
-	if re.Size() != 2 || fmt.Sprint(re.Rows()[0]) != "[1 a]" {
-		t.Errorf("remapped rows = %v", re.Rows())
-	}
-	// The frozen copy accepts inserts again (set rebuilt lazily):
-	// re-inserting an existing row is a no-op, a new row lands.
-	if re.Insert(Tuple{"1", "a"}) {
-		t.Error("duplicate insert into remapped relation reported new")
-	}
-	if !re.Insert(Tuple{"3", "c"}) || re.Size() != 3 {
-		t.Error("fresh insert into remapped relation failed")
-	}
-	if _, ok := vr.remapped(Schema{"X"}); ok {
-		t.Error("remap accepted a narrowing projection")
-	}
-	if _, ok := vr.remapped(Schema{"X", "Q"}); ok {
-		t.Error("remap accepted an unknown column")
-	}
-}

@@ -495,18 +495,10 @@ type StreamStats struct {
 // a set — scans and joins emit distinct rows, projections dedup, a
 // filter keeps a subset — so when the head keeps every column of it
 // the rows are appended without a dedup table (VarRelation.set);
-// otherwise each row is probed. bumpGen controls whether inserts
-// advance the database generation (the IR cache's staleness clock):
-// query evaluation bumps it, while plan execution drains with
-// bumpGen=false so executing one candidate rewriting does not
-// invalidate intermediates cached for the next. The pipeline is closed
-// before returning.
-func (db *Database) drainStream(name string, arity int, it RowIterator, bumpGen bool) (*Relation, StreamStats) {
-	var gen *uint64
-	if bumpGen {
-		gen = &db.gen
-	}
-	out := newRelationIn(name, arity, db.in, gen)
+// otherwise each row is probed. The pipeline is closed before
+// returning.
+func (db *Database) drainStream(name string, arity int, it RowIterator) (*Relation, StreamStats) {
+	out := newRelationIn(name, arity, db.in)
 	h, isHead := it.(*headIterator)
 	distinct := isHead && h.distinct
 	var stats StreamStats
@@ -531,10 +523,10 @@ func (db *Database) drainStream(name string, arity int, it RowIterator, bumpGen 
 
 // StreamQuery is the executor: it joins q's body in the given order
 // (see buildJoinPipeline for retains), applies q's comparisons and head,
-// and drains the pipeline into the relation named after q (see
-// drainStream for bumpGen). Evaluate drives it with the greedy order,
-// cost.ExecutePlan with plan orders and the M3 per-step retains.
-func (db *Database) StreamQuery(q *cq.Query, order []int, retains [][]cq.Var, bumpGen bool) (*Relation, StreamStats, error) {
+// and drains the pipeline into the relation named after q. Evaluate
+// drives it with the greedy order, cost.ExecutePlan with plan orders and
+// the M3 per-step retains.
+func (db *Database) StreamQuery(q *cq.Query, order []int, retains [][]cq.Var) (*Relation, StreamStats, error) {
 	it, err := db.buildJoinPipeline(q.Body, order, retains)
 	if err != nil {
 		return nil, StreamStats{}, err
@@ -545,7 +537,7 @@ func (db *Database) StreamQuery(q *cq.Query, order []int, retains [][]cq.Var, bu
 	if it, err = db.streamHead(it, q.Head); err != nil {
 		return nil, StreamStats{}, err
 	}
-	rel, stats := db.drainStream(q.Name(), q.Head.Arity(), it, bumpGen)
+	rel, stats := db.drainStream(q.Name(), q.Head.Arity(), it)
 	return rel, stats, nil
 }
 

@@ -82,10 +82,9 @@ func filterMaterialized(vr *VarRelation, comps []cq.Comparison) (*VarRelation, e
 
 // projectHeadMaterialized builds the answer relation from the head:
 // variables copy their column's id, constants are interned. Rows are
-// inserted with set semantics, and the answer advances the database
-// generation as Evaluate's does.
+// inserted with set semantics.
 func projectHeadMaterialized(db *Database, vr *VarRelation, head cq.Atom) (*Relation, error) {
-	out := newRelationIn(head.Pred, head.Arity(), db.in, &db.gen)
+	out := newRelationIn(head.Pred, head.Arity(), db.in)
 	buf := make([]uint32, head.Arity())
 	for ri := 0; ri < vr.n; ri++ {
 		row := vr.irow(ri)

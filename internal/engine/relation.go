@@ -60,7 +60,6 @@ type Relation struct {
 	Arity int
 
 	in      *Interner
-	gen     *uint64 // database mutation counter to bump on insert; may be nil
 	data    []uint32
 	n       int
 	set     rowSet  // as VarRelation.set
@@ -80,11 +79,11 @@ type colsIndex struct {
 // symbol table. Relations created through a Database share the
 // database's table instead (Database.Create).
 func NewRelation(name string, arity int) *Relation {
-	return newRelationIn(name, arity, NewInterner(), nil)
+	return newRelationIn(name, arity, NewInterner())
 }
 
-func newRelationIn(name string, arity int, in *Interner, gen *uint64) *Relation {
-	return &Relation{Name: name, Arity: arity, in: in, gen: gen, set: rowSet{width: arity}}
+func newRelationIn(name string, arity int, in *Interner) *Relation {
+	return &Relation{Name: name, Arity: arity, in: in, set: rowSet{width: arity}}
 }
 
 // irow returns row i as a view into the flat storage (do not modify).
@@ -126,9 +125,6 @@ func (r *Relation) appendRow(ids []uint32) {
 	r.data = append(r.data, ids...)
 	r.n++
 	r.indexes = nil // cached indexes are stale
-	if r.gen != nil {
-		*r.gen++
-	}
 }
 
 // indexFor returns the join index on the given columns, building and
@@ -231,8 +227,8 @@ type VarRelation struct {
 	// behind n. An operator whose output is a set by construction
 	// appends its rows without probing it: JoinStep, a Project that
 	// keeps every column of its set input, the executor's drain under a
-	// head that does (drainStream), and the IR cache's remapped copies,
-	// so such a relation never builds a table. An Insert (or
+	// head that does (drainStream), so such a relation never builds a
+	// table. An Insert (or
 	// Relation.Contains) first extends the table over the rows appended
 	// since. Relation.set follows the same rule.
 	set     rowSet
@@ -350,34 +346,4 @@ func keepsAll(cols []int, width int) bool {
 		}
 	}
 	return true
-}
-
-// remapped returns a copy of vr with columns permuted into the order of
-// want (which must be a permutation of vr's schema; reported false
-// otherwise). The copy shares vr's interner and, a permutation of a
-// set, builds no dedup table unless someone inserts into it. The IR cache
-// uses this to hand one memoized relation to callers that materialized
-// the same subgoal set through different join orders.
-func (vr *VarRelation) remapped(want Schema) (*VarRelation, bool) {
-	if len(want) != len(vr.Schema) {
-		return nil, false
-	}
-	cols := make([]int, len(want))
-	for i, v := range want {
-		c := vr.Schema.IndexOf(v)
-		if c < 0 {
-			return nil, false
-		}
-		cols[i] = c
-	}
-	out := newVarRelationIn(append(Schema(nil), want...), vr.in)
-	out.n = vr.n
-	out.data = make([]uint32, 0, len(vr.data))
-	for i := 0; i < vr.n; i++ {
-		row := vr.irow(i)
-		for _, c := range cols {
-			out.data = append(out.data, row[c])
-		}
-	}
-	return out, true
 }

@@ -253,7 +253,7 @@ func TestStreamPipelineRetainsMatchJoinSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats := db.drainStream("ir", len(cur.Schema), it, false)
+	got, stats := db.drainStream("ir", len(cur.Schema), it)
 	if got.Size() != cur.Size() {
 		t.Fatalf("drained %d rows, materialized %d", got.Size(), cur.Size())
 	}
@@ -348,7 +348,7 @@ func TestPipelineConstructionFailureClosesOperators(t *testing.T) {
 	noHead := q.Clone()
 	noHead.Head.Args[1] = bad
 	if n := joinsClosed(func() error {
-		_, _, err := db.StreamQuery(noHead, []int{0, 1, 2}, nil, false)
+		_, _, err := db.StreamQuery(noHead, []int{0, 1, 2}, nil)
 		return err
 	}); n != 2 {
 		t.Errorf("missing head variable: %d joins closed, want 2", n)

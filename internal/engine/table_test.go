@@ -165,25 +165,18 @@ func TestInternerMatchesMap(t *testing.T) {
 // A view whose head keeps every column of its body is materialized
 // without a dedup table; one that drops a column is deduplicated. The
 // first Insert builds the table over the appended rows, so set
-// semantics hold from then on, and every insert still moves the
-// database generation: an attached IRCache empties.
+// semantics hold from then on.
 func TestLazyRelationSet(t *testing.T) {
 	db := NewDatabase()
 	if err := db.LoadFacts("e(a, 1). e(b, 1). e(c, 2)."); err != nil {
 		t.Fatal(err)
 	}
-	c := NewIRCache()
-	db.SetIRCache(c)
-	db.IRStoreSize("k", 3)
 	vs, err := views.ParseSet("v(A, B) :- e(A, B).\nw(B, A, B) :- e(A, B).\nd(B) :- e(A, B).")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.MaterializeViews(vs); err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := db.IRSize("k"); ok {
-		t.Error("materializing views left the IR cache's entry in place")
 	}
 	for _, name := range []string{"v", "w"} {
 		if r := db.Relation(name); r.set.n != 0 || r.set.tab.slots != nil {
@@ -195,18 +188,11 @@ func TestLazyRelationSet(t *testing.T) {
 	}
 
 	v := db.Relation("v")
-	db.IRStoreSize("k", 3)
 	if v.Insert(Tuple{"b", "1"}) {
 		t.Error("Insert of an existing row reported new")
 	}
-	if _, ok := db.IRSize("k"); !ok {
-		t.Error("a duplicate Insert emptied the IR cache")
-	}
 	if !v.Insert(Tuple{"d", "3"}) || v.Insert(Tuple{"d", "3"}) {
 		t.Error("Insert of a new row, then again, misreported")
-	}
-	if _, ok := db.IRSize("k"); ok {
-		t.Error("a new row left the IR cache's entry in place")
 	}
 	for _, tc := range []struct {
 		row  Tuple
@@ -279,7 +265,7 @@ func FuzzRowTables(f *testing.F) {
 			}
 		}
 
-		lazy := newRelationIn("lazy", width, r.in, nil)
+		lazy := newRelationIn("lazy", width, r.in)
 		for i := 0; i < r.n/2; i++ {
 			lazy.appendRow(r.irow(i))
 		}

@@ -12,8 +12,9 @@ import (
 // MapIterDet flags `for … range` over a map in determinism-critical
 // packages. Go randomizes map iteration order per run, so any map range
 // on a result-producing path is a reproducibility bug: CoreCover's
-// byte-identical-Result guarantee (DESIGN §8) and the canonical forms
-// keying PlanCache/IRCache both die by a thousand such cuts.
+// byte-identical-Result guarantee (DESIGN §8), the canonical forms
+// keying PlanCache and the tuple numbering keying the planning memo
+// (cost.Memo) all die by a thousand such cuts.
 //
 // A map range passes without annotation only when the analyzer can see
 // that iteration order cannot leak:

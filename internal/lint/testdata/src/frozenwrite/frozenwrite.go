@@ -48,9 +48,9 @@ func (c *Catalog) reindex() {
 	}
 }
 
-// bumpGeneration mutates the published catalog in place: the exact bug
+// advanceGeneration mutates the published catalog in place: the exact bug
 // the analyzer exists for — lock-free readers can observe the tear.
-func bumpGeneration() {
+func advanceGeneration() {
 	resident.gen++ // want `write to frozen corecover\.Catalog`
 }
 

@@ -96,12 +96,12 @@ const (
 	// constant and repeated-variable filtering), whether the kernel was
 	// materializing the join or only counting it.
 	CtrJoinProbeRows
-	// CtrIRCacheHit counts intermediate relations, and memoized sizes
-	// of intermediate relations, reused from the planner's IR cache
-	// instead of being re-joined or re-counted.
+	// CtrIRCacheHit counts intermediate relations, and exact sizes of
+	// intermediate relations, reused from the planning request's memo
+	// (cost.Memo) instead of being re-joined or re-counted.
 	CtrIRCacheHit
-	// CtrIRCacheMiss counts IR-cache lookups that fell through to a
-	// real join or count (counted only while a cache is attached).
+	// CtrIRCacheMiss counts memo lookups that fell through to a real
+	// join or count.
 	CtrIRCacheMiss
 	// CtrUnknownPreds counts join steps over predicates the database has
 	// no relation for (a likely misnamed view; they join as empty).

@@ -6,7 +6,6 @@ import (
 
 	"viewplan/internal/corecover"
 	"viewplan/internal/cost"
-	"viewplan/internal/engine"
 	"viewplan/internal/obs"
 )
 
@@ -29,9 +28,9 @@ type PlanRequest struct {
 	// Tracer, when non-nil, observes the whole pipeline — rewriting
 	// generation, join-order optimization, and filter selection — and
 	// PlanResult.Stats carries its snapshot. The tracer is attached to
-	// db for the duration of the call (and restored afterwards), so
-	// concurrent PlanQuery calls on one db should share a tracer or
-	// leave it nil.
+	// db for the duration of the call (and restored afterwards). Calls
+	// on one db must not overlap, tracer or not: the database builds its
+	// join indexes lazily.
 	Tracer *Tracer
 	// Registry, when non-nil, accumulates this call into
 	// process-lifetime telemetry: the request count, the run's counters
@@ -145,15 +144,6 @@ func PlanQuery(db *Database, q *Query, vs *ViewSet, req PlanRequest) (*PlanResul
 	if db == nil {
 		return nil, fmt.Errorf("viewplan: cost model %s needs a database with materialized views", req.Model)
 	}
-	// Candidate rewritings share view tuples, so their cost simulations
-	// keep joining the same subgoal sets; a per-call IR cache lets the
-	// optimizers reuse those intermediate relations across candidates
-	// (and across the repeated searches of filter selection). A caller
-	// who attached a longer-lived cache keeps it.
-	if db.IRCache() == nil {
-		db.SetIRCache(engine.NewIRCache())
-		defer db.SetIRCache(nil)
-	}
 	res, err := corecover.CoreCoverStar(q, vs, opts)
 	if err != nil {
 		return nil, err
@@ -167,15 +157,19 @@ func PlanQuery(db *Database, q *Query, vs *ViewSet, req PlanRequest) (*PlanResul
 	// a plan strictly cheaper than the best so far, in CoreCover*'s order,
 	// so the first minimum wins and a candidate that cannot win is given
 	// up after its view-size sum or a few bounded counts.
+	// Candidate rewritings share view tuples, so their searches keep
+	// sizing and joining the same subgoal sets; the request's memo hands
+	// each back to every later candidate and to filter selection.
 	var best *PlanResult
 	bound := math.MaxInt
+	memo := new(cost.Memo)
 	for _, p := range res.Rewritings {
 		var plan *cost.Plan
 		switch req.Model {
 		case M2:
-			plan, err = cost.BestPlanM2Below(db, p, bound)
+			plan, err = cost.BestPlanM2Below(db, p, bound, memo)
 		case M3:
-			plan, err = cost.BestPlanM3Below(db, p, req.Strategy, q, vs, bound)
+			plan, err = cost.BestPlanM3Below(db, p, req.Strategy, q, vs, bound, memo)
 		default:
 			return nil, fmt.Errorf("viewplan: unknown cost model %v", req.Model)
 		}
@@ -199,7 +193,7 @@ func PlanQuery(db *Database, q *Query, vs *ViewSet, req PlanRequest) (*PlanResul
 			candidates = append(candidates, fc.Members...)
 		}
 		if len(candidates) > 0 {
-			fr, err := cost.ImproveWithFilters(db, best.Rewriting, q, vs, candidates)
+			fr, err := cost.ImproveWithFilters(db, best.Rewriting, q, vs, candidates, memo)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package viewplan
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -16,9 +17,10 @@ import (
 // referencePlanQuery is PlanQuery's candidate loop without the
 // incumbent: every CoreCover* candidate ordered with no bound, the first
 // strict minimum kept, then (M2) the Section 5.1 filter pass with every
-// extension ordered with no bound. It returns the chosen rewriting and
-// its cost, or nil when the query has no rewriting.
-func referencePlanQuery(t *testing.T, db *Database, inst *workload.Instance, model CostModel, strategy DropStrategy, maxRewritings int) (*Query, int) {
+// extension ordered with no bound, each search through memo(). It
+// returns the chosen rewriting and its cost, or nil when the query has no
+// rewriting.
+func referencePlanQuery(t *testing.T, db *Database, inst *workload.Instance, model CostModel, strategy DropStrategy, maxRewritings int, memo func() *cost.Memo) (*Query, int) {
 	t.Helper()
 	q, vs := inst.Query, inst.Views
 	res, err := corecover.CoreCoverStar(q, vs, corecover.Options{MaxRewritings: maxRewritings})
@@ -30,12 +32,12 @@ func referencePlanQuery(t *testing.T, db *Database, inst *workload.Instance, mod
 	for _, p := range res.Rewritings {
 		var plan *Plan
 		if model == M3 {
-			plan, err = cost.BestPlanM3(db, p, strategy, q, vs)
+			plan, err = cost.BestPlanM3Below(db, p, strategy, q, vs, math.MaxInt, memo())
 		} else {
-			plan, err = cost.BestPlanM2(db, p)
+			plan, err = cost.BestPlanM2Below(db, p, math.MaxInt, memo())
 		}
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || plan == nil {
+			t.Fatal(plan, err)
 		}
 		if best == nil || plan.Cost < bestCost {
 			best, bestCost = p, plan.Cost
@@ -59,9 +61,9 @@ func referencePlanQuery(t *testing.T, db *Database, inst *workload.Instance, mod
 			if !vs.IsEquivalentRewriting(ext, q) {
 				continue
 			}
-			plan, err := cost.BestPlanM2(db, ext)
-			if err != nil {
-				t.Fatal(err)
+			plan, err := cost.BestPlanM2Below(db, ext, math.MaxInt, memo())
+			if err != nil || plan == nil {
+				t.Fatal(plan, err)
 			}
 			if plan.Cost < bestCost {
 				best, bestCost, improved = ext, plan.Cost, true
@@ -75,8 +77,9 @@ func referencePlanQuery(t *testing.T, db *Database, inst *workload.Instance, mod
 // The request-wide incumbent prunes work, never the answer: over seeded
 // star and chain instances under both data-dependent models, PlanQuery
 // picks the rewriting, at the cost, that ordering every candidate with
-// no bound picks, while popping fewer lattice states than that reference
-// does.
+// no bound picks — with a memo shared by all of the reference's searches
+// and with a fresh one per search — while popping fewer lattice states
+// than that reference does.
 func TestPlanQueryIncumbentKeepsChoice(t *testing.T) {
 	planned := 0
 	var searched, searchedUnbounded int64
@@ -104,25 +107,30 @@ func TestPlanQueryIncumbentKeepsChoice(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v %d %v: %v", shape, i, model, err)
 				}
+				memo := new(cost.Memo)
+				fresh := func() *cost.Memo { return new(cost.Memo) }
+				shared := func() *cost.Memo { return memo }
 				ref := NewTracer()
-				db.SetTracer(ref)
-				db.SetIRCache(engine.NewIRCache())
-				want, wantCost := referencePlanQuery(t, db, inst, model, strategy, 12)
-				db.SetIRCache(nil)
-				db.SetTracer(nil)
-				if (got == nil) != (want == nil) {
-					t.Fatalf("%v %d %v: PlanQuery found a plan: %v, reference: %v", shape, i, model, got != nil, want != nil)
+				for _, memoFor := range []func() *cost.Memo{fresh, shared} {
+					db.SetTracer(ref)
+					want, wantCost := referencePlanQuery(t, db, inst, model, strategy, 12, memoFor)
+					db.SetTracer(nil)
+					if (got == nil) != (want == nil) {
+						t.Fatalf("%v %d %v: PlanQuery found a plan: %v, reference: %v", shape, i, model, got != nil, want != nil)
+					}
+					if got != nil && (got.Rewriting.String() != want.String() || got.Cost != wantCost) {
+						t.Errorf("%v %d %v: PlanQuery chose\n  %s at %d\nthe unbounded reference\n  %s at %d",
+							shape, i, model, got.Rewriting, got.Cost, want, wantCost)
+					}
 				}
 				if got == nil {
 					continue
 				}
 				planned++
-				if got.Rewriting.String() != want.String() || got.Cost != wantCost {
-					t.Errorf("%v %d %v: PlanQuery chose\n  %s at %d\nthe unbounded reference\n  %s at %d",
-						shape, i, model, got.Rewriting, got.Cost, want, wantCost)
-				}
 				searched += tr.Counter(obs.CtrOptStates)
-				searchedUnbounded += ref.Counter(obs.CtrOptStates)
+				// A memo changes no size the search sees, so both reference
+				// runs pop the same states.
+				searchedUnbounded += ref.Counter(obs.CtrOptStates) / 2
 			}
 		}
 	}

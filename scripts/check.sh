@@ -21,8 +21,11 @@
 # tier-1, this step runs the benchmark's own digests), and finish with
 # short fuzz smokes of the cq parser, of the engine's hand-rolled
 # hash tables (dedup sets, hashed join keys, interner against map and
-# linear-scan oracles) and of the engine's one query evaluator (Evaluate
-# against the materialized JoinStep reference). The allocation gates (*_allocs_test.go) and the paper's figure
+# linear-scan oracles), of the engine's one query evaluator (Evaluate
+# against the materialized JoinStep reference) and of the plan cache's
+# insert and alpha-renamed hit paths (FuzzPlanCacheAlphaRenaming: a
+# renamed twin must hit and be served equivalent rewritings, a
+# constant-differing one must miss). The allocation gates (*_allocs_test.go) and the paper's figure
 # shapes (figures_test.go) are plain tests that run in `go test ./...`,
 # so they need no step here; bench/'s tests are the one benchmark step.
 #
@@ -61,5 +64,8 @@ go test -run='^$' -fuzz=FuzzRowTables -fuzztime=5s ./internal/engine
 
 echo "== fuzz smoke: Evaluate against the materialized reference (5s)"
 go test -run='^$' -fuzz=FuzzEvaluate -fuzztime=5s ./internal/engine
+
+echo "== fuzz smoke: plan cache alpha-renaming (5s; ~8s with the build)"
+go test -run='^$' -fuzz=FuzzPlanCacheAlphaRenaming -fuzztime=5s ./internal/corecover
 
 echo "check: OK"

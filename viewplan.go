@@ -28,7 +28,10 @@
 // per-request worker pool and no knob for one — the measured fan-outs
 // lost to the sequential pass (DESIGN.md §8) — so every entry point is
 // deterministic and safe to call from many goroutines at once; run
-// requests concurrently (as cmd/planserve does) to use more cores.
+// requests concurrently (as cmd/planserve does) to use more cores. The
+// exception is a Database: it builds its join indexes lazily and carries
+// one tracer, so calls that plan, execute or evaluate on the same
+// database must not overlap.
 //
 // # Observability
 //
@@ -155,9 +158,10 @@ type (
 	// Tracer records hierarchical phase spans and atomic work counters
 	// for one planning run; nil is the no-op default.
 	Tracer = obs.Tracer
-	// IRCache memoizes intermediate join relations across the cost
-	// optimizers' candidate rewritings (Database.SetIRCache). PlanQuery
-	// attaches a fresh one per call when none is set.
+	// IRCache is a no-op shim kept for callers of
+	// Database.SetIRCache, which does nothing: PlanQuery memoizes what
+	// its candidate rewritings' searches measure per call, on no
+	// database.
 	IRCache = engine.IRCache
 	// PlanningStats is a snapshot of a run's phase durations and
 	// counters (Result.PlanningStats); renders as text or JSON.
@@ -207,10 +211,9 @@ func NewViews(defs ...*Query) (*ViewSet, error) { return views.NewSet(defs...) }
 // PlanRequest.Tracer, or Database.SetTracer.
 func NewTracer() *Tracer { return obs.New() }
 
-// NewIRCache returns an empty intermediate-relation cache. Attach it
-// with Database.SetIRCache to share materialized join results across
-// several planning runs over an unchanged database; without one,
-// PlanQuery memoizes within each call only.
+// NewIRCache returns an IRCache, a no-op shim: attaching it with
+// Database.SetIRCache changes nothing. PlanQuery memoizes within each
+// call only.
 func NewIRCache() *IRCache { return engine.NewIRCache() }
 
 // NewTracerWithLog returns a tracer that additionally emits structured
@@ -331,7 +334,7 @@ func ExecutePlan(db *Database, p *Plan, opts ExecOptions) (*Relation, ExecStats,
 // ImproveWithFilters greedily adds filtering view literals to a rewriting
 // when they lower its best M2 cost (Section 5.1).
 func ImproveWithFilters(db *Database, p, q *Query, vs *ViewSet, candidates []ViewTuple) (*FilterResult, error) {
-	return cost.ImproveWithFilters(db, p, q, vs, candidates)
+	return cost.ImproveWithFilters(db, p, q, vs, candidates, new(cost.Memo))
 }
 
 // Union is a union of conjunctive queries — the rewriting form needed for
