@@ -16,6 +16,9 @@
 //	GET  /views
 //	GET  /metrics       # registry snapshot: counters (plan_cache_hits/
 //	                    # misses/evictions), phase times, latency histograms
+//
+// A client gets 10 s to send its request headers, and a request body
+// over 1 MiB is answered 413.
 package main
 
 import (
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"time"
 
 	"viewplan"
 	"viewplan/internal/service"
@@ -59,5 +63,6 @@ func run(addr, viewsFile string, cache int) error {
 	}
 	fmt.Printf("planserve: %d views compiled (generation %d), cache capacity %d, serving on %s\n",
 		srv.Catalog().Len(), srv.Catalog().Generation(), cache, addr)
-	return http.ListenAndServe(addr, srv.Handler())
+	hs := &http.Server{Addr: addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	return hs.ListenAndServe()
 }

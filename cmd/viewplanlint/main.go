@@ -1,10 +1,9 @@
 // viewplanlint is the repo's multichecker: it runs the internal/lint
 // analyzer suite (mapiterdet, tracerparam, internmix, wallclock,
-// sortslice, nilness, poolsafe, frozenwrite, atomicmix, locksafe) over
-// package patterns — including _test.go sources — and fails on any
-// unannotated finding. It machine-checks the determinism,
-// tracer-threading, intern-safety, and concurrency-sharing invariants
-// of DESIGN §8–§10 and §15.
+// sortslice, nilness, poolsafe, frozenwrite, locksafe) over the
+// production sources of package patterns — never _test.go files; lock
+// copies there are `go vet`'s — and fails on any unannotated finding,
+// machine-checking the invariants of DESIGN §8–§10 and §15.
 //
 // Usage:
 //

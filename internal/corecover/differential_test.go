@@ -188,14 +188,12 @@ var diffOptionGrid = []Options{
 	{DisableViewGrouping: true, DisableTupleGrouping: true},
 }
 
-// TestDifferentialParallelMatchesSequential holds the cold pipeline to
-// the oracle over the whole corpus (the name predates the single
-// pipeline: it used to compare fan-out settings against each other). For
-// CoreCover and CoreCover*, grouping on and off: view tuples equal the
-// unfiltered per-view reference, every emitted rewriting is re-checked by
-// expansion equivalence, and a capped run is a prefix of the uncapped
-// one.
-func TestDifferentialParallelMatchesSequential(t *testing.T) {
+// TestDifferentialMatchesOracle holds the cold pipeline to the oracle
+// over the whole corpus. For CoreCover and CoreCover*, grouping on and
+// off: view tuples equal the unfiltered per-view reference, every
+// emitted rewriting is re-checked by expansion equivalence, and a capped
+// run is a prefix of the uncapped one.
+func TestDifferentialMatchesOracle(t *testing.T) {
 	for n, inst := range diffCorpus(t) {
 		for _, opts := range diffOptionGrid {
 			for _, alg := range algorithms {
@@ -219,15 +217,14 @@ func TestDifferentialParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDifferentialShardedMatchesSequential holds the pipeline's cover
-// search to a brute-force oracle over the corpus (the name predates the
-// single pipeline: it used to compare the component-sharded search
-// against the single-universe one). Every subset of the nonempty-core
-// classes is enumerated; the irredundant covers among them are exactly
-// what CoreCover* may emit, so each must either be emitted or have a
-// representative combination that fails expansion equivalence, and
-// CoreCover must emit exactly the minimum-size ones CoreCover* does.
-func TestDifferentialShardedMatchesSequential(t *testing.T) {
+// TestDifferentialCoversExhaustive holds the pipeline's cover search to
+// a brute-force oracle over the corpus. Every subset of the
+// nonempty-core classes is enumerated; the irredundant covers among
+// them are exactly what CoreCover* may emit, so each must either be
+// emitted or have a representative combination that fails expansion
+// equivalence, and CoreCover must emit exactly the minimum-size ones
+// CoreCover* does.
+func TestDifferentialCoversExhaustive(t *testing.T) {
 	checked := 0
 	for n, inst := range diffCorpus(t) {
 		label := fmt.Sprintf("#%d %s", n, inst.Query)
@@ -325,7 +322,7 @@ func TestDifferentialShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDifferentialShardedCatalogMatchesSequential runs the oracle check
+// TestDifferentialCatalogMatchesCold runs the oracle check
 // through a compiled Catalog, the path the service plans on: the
 // candidate prefilter tests the catalog's precompiled predicate ids
 // instead of predicate names and the Result shares the catalog's class
@@ -334,7 +331,7 @@ func TestDifferentialShardedMatchesSequential(t *testing.T) {
 // Both runs probe the same representatives, so they must also report
 // the same hom_searches and batched_probes: a prefilter that admits a
 // view the name test rejects changes no Result, only those counts.
-func TestDifferentialShardedCatalogMatchesSequential(t *testing.T) {
+func TestDifferentialCatalogMatchesCold(t *testing.T) {
 	for n, inst := range diffCorpus(t) {
 		cat, err := CompileViews(inst.Views, Options{})
 		if err != nil {

@@ -30,13 +30,6 @@ type Analyzer struct {
 	// (e.g. "nondet-ok" honors //viewplan:nondet-ok <reason>). Empty
 	// means findings cannot be annotated away.
 	Suppress string
-	// IncludeTests keeps findings located in _test.go files. Most
-	// invariants guard result-producing code — tests are free to iterate
-	// maps or read the clock, so their findings are dropped — but the
-	// concurrency analyzers (atomicmix, locksafe) sweep test sources
-	// too: the -race soaks are exactly where a plain read of an atomic
-	// field or a copied mutex hides.
-	IncludeTests bool
 	// Run reports findings on one package through pass.Report.
 	Run func(pass *Pass) error
 }
@@ -102,10 +95,6 @@ func (f Finding) String() string {
 // whose key belongs to an analyzer in this run but that matched no
 // finding is reported as stale, so annotations cannot outlive the code
 // smell they once excused.
-//
-// Findings located in _test.go files are dropped for analyzers without
-// IncludeTests — before suppression matching, so a test-file directive
-// for such an analyzer is judged against the findings that remain.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	dirs := Directives(pkg.Fset, pkg.Files)
 	used := make(map[*Directive]bool)
@@ -127,9 +116,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 		}
 		for _, d := range diags {
 			pos := pkg.Fset.Position(d.Pos)
-			if pkg.TestFiles[pos.Filename] && !a.IncludeTests {
-				continue
-			}
 			f := Finding{
 				Analyzer: a.Name,
 				File:     pos.Filename,

@@ -189,7 +189,15 @@ func summarizeOne(n *FuncNode, info *types.Info, g *CallGraph, sums map[*types.F
 	for i, p := range n.Params {
 		paramIdx[p] = i
 	}
+	// A write through a variable the body declares stays in the frame;
+	// the receiver, parameters and named results are declared in the
+	// signature and alias caller state.
 	local := func(obj types.Object) bool {
+		return obj != nil && n.Decl.Body.Pos() <= obj.Pos() && obj.Pos() <= n.Decl.Body.End()
+	}
+	// Rebinding any variable the function declares, signature included,
+	// is invisible to the caller.
+	rebind := func(obj types.Object) bool {
 		return obj != nil && n.Decl.Pos() <= obj.Pos() && obj.Pos() <= n.Decl.End()
 	}
 	// calleeSummary resolves a package-local callee, optimistically for
@@ -219,12 +227,12 @@ func summarizeOne(n *FuncNode, info *types.Info, g *CallGraph, sums map[*types.F
 				s.Pure = false
 			case *ast.AssignStmt:
 				for _, lhs := range x.Lhs {
-					if !localWrite(info, lhs, local) {
+					if !localWrite(info, lhs, local, rebind) {
 						s.Pure = false
 					}
 				}
 			case *ast.IncDecStmt:
-				if !localWrite(info, x.X, local) {
+				if !localWrite(info, x.X, local, rebind) {
 					s.Pure = false
 				}
 			case *ast.CallExpr:
@@ -240,41 +248,20 @@ func summarizeOne(n *FuncNode, info *types.Info, g *CallGraph, sums map[*types.F
 }
 
 // localWrite reports whether assigning through lhs only touches state
-// local to the function: a plain local variable, or a field/element
-// chain rooted at a local non-parameter variable. Writes through
-// parameters, package variables, or unresolvable roots are caller-
-// visible. The blank identifier is local by definition.
-func localWrite(info *types.Info, lhs ast.Expr, local func(types.Object) bool) bool {
+// local to the function: rebinding a variable it declares (a parameter
+// included — the caller never sees it), or a field/element chain
+// rooted at a variable its body declares. A chain rooted at the
+// receiver, a parameter, a named result, a package variable or an
+// unresolvable root is caller-visible. The blank identifier is local by
+// definition.
+func localWrite(info *types.Info, lhs ast.Expr, local, rebind func(types.Object) bool) bool {
 	if id, ok := unparen(lhs).(*ast.Ident); ok {
-		if id.Name == "_" {
-			return true
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		// Rebinding a parameter variable itself is local; the caller
-		// never sees it.
-		return local(obj)
+		return id.Name == "_" || rebind(identObj(info, id))
 	}
 	root := BaseIdent(lhs)
-	if root == nil {
-		return false
-	}
-	obj := info.Uses[root]
-	if obj == nil {
-		obj = info.Defs[root]
-	}
-	if !local(obj) {
-		return false
-	}
-	// A chain through a local *pointer* parameter still mutates the
-	// caller's object; a chain through a genuinely local variable may
-	// still alias, but treating it as local is the useful approximation.
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
-		return false
-	}
-	return true
+	// A chain through a genuinely local variable may still alias, but
+	// treating it as local is the useful approximation.
+	return root != nil && local(identObj(info, root))
 }
 
 // summarizeCall folds one call's effects into s.
@@ -609,28 +596,6 @@ func IsAtomicLoad(info *types.Info, call *ast.CallExpr) bool {
 	t := deref(info.Types[sel.X].Type)
 	n, ok := t.(*types.Named)
 	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Name() == "atomic"
-}
-
-// AtomicFuncArg returns the &operand of a sync/atomic package function
-// call (atomic.AddUint64(&s.gen, 1) → s.gen), or nil.
-func AtomicFuncArg(info *types.Info, call *ast.CallExpr) ast.Expr {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || len(call.Args) == 0 {
-		return nil
-	}
-	id, ok := unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	if !ok || pn.Imported().Path() != "sync/atomic" {
-		return nil
-	}
-	addr, ok := unparen(call.Args[0]).(*ast.UnaryExpr)
-	if !ok || addr.Op != token.AND {
-		return nil
-	}
-	return addr.X
 }
 
 // BaseIdent unwraps selector, index, slice, star, paren, type-assert,

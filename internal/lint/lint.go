@@ -18,11 +18,15 @@
 //   - frozenwrite: publish-then-immutable types (the resident
 //     ViewCatalog, compiled HomTargets) are only written while provably
 //     fresh — the copy-on-write discipline, machine-checked
-//   - atomicmix: storage accessed via sync/atomic is never read or
-//     written plainly anywhere in the package (including _test.go)
-//   - locksafe: no by-value copies of lock-bearing structs, and no
-//     second same-owner (stripe) lock acquisition while one is held —
-//     interprocedurally, through the package-local call graph
+//   - locksafe: no second same-owner (stripe) lock acquisition while
+//     one is held — interprocedurally, through the package-local call
+//     graph
+//
+// The analyzers read production sources only: the loader never parses
+// _test.go files. What a test could break that these rules guard —
+// a copied lock, a plain read of an atomic — is `go vet`'s copylocks
+// ground or, with the tree's typed sync/atomic wrappers only, a compile
+// error.
 //
 // Findings are suppressed — never silently — by //viewplan:<key> <reason>
 // annotations; see package analysis. Analyzers match types structurally
@@ -56,7 +60,6 @@ func Analyzers() []*analysis.Analyzer {
 		Nilness,
 		PoolSafe,
 		FrozenWrite,
-		AtomicMix,
 		LockSafe,
 	}
 }

@@ -107,16 +107,8 @@ func TestFrozenWrite(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.FrozenWrite, "frozenwrite")
 }
 
-// TestAtomicMix covers mixed atomic/plain access, including the
-// _test.go fixture file: the analyzer sweeps test sources, so a plain
-// read of an atomically written counter in a test is flagged too.
-func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.AtomicMix, "atomicmix")
-}
-
-// TestLockSafe covers the stripe discipline (double-stripe acquisition,
-// deadlock through the call graph, RLock-then-Lock self-deadlock) and
-// by-value copies of lock-bearing structs.
+// TestLockSafe covers the stripe discipline: double-stripe acquisition,
+// deadlock through the call graph, RLock-then-Lock self-deadlock.
 func TestLockSafe(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.LockSafe, "locksafe")
 }

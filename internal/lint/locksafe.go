@@ -9,170 +9,39 @@ import (
 	"viewplan/internal/lint/analysis"
 )
 
-// LockSafe enforces two lock disciplines.
+// LockSafe enforces the stripe discipline: the striped PlanCache is
+// deadlock-free only because no code path ever holds two stripe locks
+// at once (stripes are acquired hash-order-free, so two holders in
+// opposite order would deadlock). Generally: while a mutex owned by
+// some struct type T is held, acquiring another mutex owned by the same
+// type — directly or through any package-local callee, discovered via
+// the interprocedural Locks summary — is flagged. Acquiring the *same*
+// mutex twice (including RLock-then-Lock on one RWMutex, a guaranteed
+// self-deadlock under a waiting writer) is flagged by the same rule.
+// Goroutine bodies are excluded: a `go` statement's locks are taken
+// concurrently, not while the spawning frame holds its own. Neither
+// `go vet` nor -race sees this class: it deadlocks only when two
+// holders meet in opposite order.
 //
-// By-value copies: a struct that (transitively) contains a sync.Mutex,
-// RWMutex, Once, WaitGroup, Map, Cond, Pool, or one of the sync/atomic
-// typed wrappers must never be copied — the copy's lock state is
-// detached from the original's, so both sides think they hold the lock.
-// `go vet`'s copylocks catches most of these; this analyzer re-checks
-// them with the package's own type list and, unlike the rest of the
-// suite, sweeps _test.go files.
-//
-// Stripe discipline: the striped PlanCache is deadlock-free only
-// because no code path ever holds two stripe locks at once (stripes are
-// acquired hash-order-free, so two holders in opposite order would
-// deadlock). Generally: while a mutex owned by some struct type T is
-// held, acquiring another mutex owned by the same type — directly or
-// through any package-local callee, discovered via the interprocedural
-// Locks summary — is flagged. Acquiring the *same* mutex twice
-// (including RLock-then-Lock on one RWMutex, a guaranteed self-deadlock
-// under a waiting writer) is flagged by the same rule. Goroutine bodies
-// are excluded: a `go` statement's locks are taken concurrently, not
-// while the spawning frame holds its own.
+// By-value copies of lock-bearing structs are not this analyzer's
+// business: `go vet`'s copylocks flags them, _test.go files included.
 var LockSafe = &analysis.Analyzer{
-	Name:         "locksafe",
-	Doc:          "flags by-value copies of lock-bearing structs and second same-owner (stripe) lock acquisitions while one is held",
-	Suppress:     "lock-ok",
-	IncludeTests: true,
-	Run:          runLockSafe,
+	Name:     "locksafe",
+	Doc:      "flags a second same-owner (stripe) lock acquisition while one is held",
+	Suppress: "lock-ok",
+	Run:      runLockSafe,
 }
 
 func runLockSafe(pass *analysis.Pass) error {
 	_, sums := pass.Interproc()
 	info := pass.TypesInfo
 	for _, f := range pass.Files {
-		checkLockCopies(pass, f)
 		funcBodies(f, func(node ast.Node, body *ast.BlockStmt) {
 			checkLockIntervals(pass, sums, info, body)
 		})
 	}
 	return nil
 }
-
-// ---- by-value copies ----
-
-// hasLockState reports whether t transitively contains sync lock state
-// or a sync/atomic typed wrapper (all of which embed a noCopy).
-func hasLockState(t types.Type) bool {
-	return hasLockStateRec(t, make(map[types.Type]bool))
-}
-
-func hasLockStateRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil {
-			switch obj.Pkg().Name() {
-			case "sync":
-				switch obj.Name() {
-				case "Mutex", "RWMutex", "Once", "WaitGroup", "Map", "Cond", "Pool":
-					return true
-				}
-			case "atomic":
-				return true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if hasLockStateRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return hasLockStateRec(u.Elem(), seen)
-	}
-	return false
-}
-
-// addressableSource reports whether e reads existing storage (so
-// assigning it elsewhere copies that storage): an identifier, field,
-// element, or dereference — not a composite literal or call result.
-func addressableSource(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	case *ast.ParenExpr:
-		return addressableSource(x.X)
-	}
-	return false
-}
-
-func checkLockCopies(pass *analysis.Pass, f *ast.File) {
-	info := pass.TypesInfo
-	lockCopy := func(e ast.Expr) bool {
-		if e == nil || !addressableSource(e) {
-			return false
-		}
-		tv, ok := info.Types[e]
-		if !ok || tv.Type == nil {
-			return false
-		}
-		if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-			return false
-		}
-		// Selecting a method value is not a copy; a type name is not a
-		// value read.
-		if !tv.IsValue() {
-			return false
-		}
-		return hasLockState(tv.Type)
-	}
-	report := func(e ast.Expr, how string) {
-		pass.Reportf(e.Pos(), "%s copies %s by value: it contains lock or atomic state that must not be duplicated (pass a pointer, or //viewplan:lock-ok <reason>)",
-			how, types.ExprString(e))
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range x.Rhs {
-				if lockCopy(rhs) {
-					report(rhs, "assignment")
-				}
-			}
-		case *ast.RangeStmt:
-			if x.Value != nil {
-				if tv, ok := info.Types[x.X]; ok && tv.Type != nil {
-					switch u := tv.Type.Underlying().(type) {
-					case *types.Slice:
-						if hasLockState(u.Elem()) {
-							report(x.Value, "range")
-						}
-					case *types.Array:
-						if hasLockState(u.Elem()) {
-							report(x.Value, "range")
-						}
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if tv, ok := info.Types[x.Fun]; ok && tv.IsType() {
-				return true // conversion, not a call
-			}
-			for _, arg := range x.Args {
-				if lockCopy(arg) {
-					report(arg, "call argument")
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range x.Results {
-				if lockCopy(res) {
-					report(res, "return")
-				}
-			}
-		}
-		return true
-	})
-}
-
-// ---- stripe discipline ----
 
 // lockEvent is one lock operation (or summarized callee) at a source
 // position, collected in position order for a straight-line scan.

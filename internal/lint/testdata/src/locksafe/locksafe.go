@@ -90,38 +90,3 @@ func (r *registry) upgradeRight(k string) int {
 	r.m[k] = 1
 	return 1
 }
-
-// ---- by-value copies ----
-
-func use(p *planStripe) { _ = p }
-
-// copyStripe duplicates the stripe's mutex state: both copies think
-// they own the lock.
-func copyStripe(c *PlanCache, i int) {
-	s := c.stripes[i] // want `by value`
-	use(&s)
-}
-
-// snapshot returns the whole cache by value — four detached mutexes.
-func snapshot(c *PlanCache) PlanCache {
-	return *c // want `by value`
-}
-
-// sweep ranges by value over the stripe array: each iteration copies a
-// mutex.
-func sweep(c *PlanCache) int {
-	n := 0
-	for _, s := range c.stripes { // want `by value`
-		n += len(s.m)
-	}
-	return n
-}
-
-// sweepRight takes the index and addresses the element in place.
-func sweepRight(c *PlanCache) int {
-	n := 0
-	for i := range c.stripes {
-		n += len(c.stripes[i].m)
-	}
-	return n
-}

@@ -9,6 +9,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -256,6 +257,9 @@ func (s *Server) RemoveView(name string) (*ViewsResponse, error) {
 //	POST /views/remove  {"name": "v"}                  -> ViewsResponse
 //	GET  /views                                        -> ViewsResponse
 //	GET  /metrics                                      -> registry snapshot JSON
+//
+// A POST body over maxBodyBytes (1 MiB) is answered 413; any other
+// unreadable body or failed request is a 400.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /plan", func(w http.ResponseWriter, r *http.Request) {
@@ -305,12 +309,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decode parses a JSON request body, writing a 400 on failure.
+// maxBodyBytes bounds what decode reads of one request body.
+const maxBodyBytes = 1 << 20
+
+// decode parses a JSON request body, writing a 413 when it exceeds
+// maxBodyBytes and a 400 on any other failure.
 func decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
 		return false
 	}
 	return true

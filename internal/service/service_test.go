@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"viewplan"
@@ -154,6 +155,28 @@ func TestServiceEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("POST %s %s: status %d, want 400", bad.path, bad.body, resp.StatusCode)
 		}
+	}
+}
+
+// TestServiceBodyLimit sends a /plan body over the 1 MiB limit: it is
+// answered 413 without being read to the end, and the next valid
+// request still plans.
+func TestServiceBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t)
+	valid := `{"query": "q(X, Y) :- e1(X, Y)"}`
+	big := strings.Repeat(" ", 1<<20) + valid
+	resp, err := http.Post(ts.URL+"/plan", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST /plan with a %d-byte body: status %d, want 413", len(big), resp.StatusCode)
+	}
+	var plan service.PlanResponse
+	post(t, ts.URL+"/plan", valid, &plan)
+	if len(plan.Rewritings) == 0 {
+		t.Fatalf("valid request after the rejected one found no rewritings: %+v", plan)
 	}
 }
 

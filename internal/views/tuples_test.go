@@ -74,11 +74,11 @@ func TestAppendViewTuplesAllocs(t *testing.T) {
 	}
 }
 
-// TestComputeTuplesNMatchesSequential pins that the production tuple
+// TestComputeTuplesMatchesPerViewReference pins that the production tuple
 // computation — candidate prefilter plus one batch frame — produces the
 // byte-identical tuple slice the unfiltered per-view reference does, for
 // the default name-set prefilter, a caller-supplied sound one, and none.
-func TestComputeTuplesNMatchesSequential(t *testing.T) {
+func TestComputeTuplesMatchesPerViewReference(t *testing.T) {
 	s := mustSet(t, `
 		v1(A, B) :- e(A, C), e(C, B).
 		v2(A) :- e(A, A).

@@ -1,7 +1,12 @@
 #!/bin/sh
-# check.sh — fast pre-commit gate: vet everything, run viewplanlint
-# (the repo's own analyzer suite: determinism, tracer-threading, and
-# intern-safety invariants; see internal/lint), then run the
+# check.sh — fast pre-commit gate: vet everything — the root module and
+# the separate bench/ module, which the root ./... never reaches — then
+# run viewplanlint (the repo's own analyzer suite: determinism,
+# tracer-threading, intern-safety and stripe-lock invariants; see
+# internal/lint). viewplanlint reads production sources only; vet's
+# copylocks is the one gate for lock copies, in _test.go files too, and
+# the tree's typed sync/atomic wrappers make a plain read of an atomic
+# a compile error. Then run the
 # observability, planner-core, view-tuple, planning-service, engine and
 # cost-search tests with the race detector. A planning request is one
 # sequential pass, so the shared mutable state is what requests share
@@ -44,6 +49,9 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== benchmark module: (cd bench && go vet ./...)"
+(cd bench && go vet ./...)
 
 echo "== viewplanlint ./... (per-analyzer counts on stderr)"
 go build -o bin/viewplanlint ./cmd/viewplanlint
